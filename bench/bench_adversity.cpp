@@ -178,11 +178,7 @@ RowResult run_row(const Adversity& row, TransportKind kind,
   engine.run();
 
   result.completed = rtts_us.size();
-  std::sort(rtts_us.begin(), rtts_us.end());
-  if (!rtts_us.empty()) {
-    result.p50_us = rtts_us[rtts_us.size() / 2];
-    result.p99_us = rtts_us[std::size_t(double(rtts_us.size() - 1) * 0.99)];
-  }
+  p50_p99(rtts_us, result.p50_us, result.p99_us);
   const double bits = double(result.completed) *
                       double(request_bytes + response_bytes) * 8.0;
   result.goodput_gbps =
@@ -365,11 +361,7 @@ CoreResult run_core_row(const CoreRow& core, TransportKind kind,
     rtts_us.insert(rtts_us.end(), c.rtts_us.begin(), c.rtts_us.end());
     last_completion = std::max(last_completion, c.last_completion);
   }
-  std::sort(rtts_us.begin(), rtts_us.end());
-  if (!rtts_us.empty()) {
-    result.row.p50_us = rtts_us[rtts_us.size() / 2];
-    result.row.p99_us = rtts_us[std::size_t(double(rtts_us.size() - 1) * 0.99)];
-  }
+  p50_p99(rtts_us, result.row.p50_us, result.row.p99_us);
   const double bits = double(result.row.completed) *
                       double(request_bytes + response_bytes) * 8.0;
   result.row.goodput_gbps =

@@ -32,6 +32,15 @@ inline std::uint64_t wall_clock_ns() {
                            .count());
 }
 
+/// Sorts `samples` and, if any, sets `p50` to v[n/2] and `p99` to
+/// v[(n-1)*0.99] — the index formula every JSON row is recorded with.
+inline void p50_p99(std::vector<double>& samples, double& p50, double& p99) {
+  if (samples.empty()) return;
+  std::sort(samples.begin(), samples.end());
+  p50 = samples[samples.size() / 2];
+  p99 = samples[std::size_t(double(samples.size() - 1) * 0.99)];
+}
+
 /// --- smoke mode ----------------------------------------------------------
 ///
 /// Every bench binary accepts `--smoke` (or BENCH_SMOKE=1 in the

@@ -93,4 +93,10 @@ inline Error make_error(Errc code, std::string message) {
   return Error{code, std::move(message)};
 }
 
+/// `st` with "<where>: " prepended to its message; success passes through.
+inline Status prefixed(const std::string& where, Status st) {
+  if (st.ok()) return st;
+  return make_error(st.code(), where + ": " + st.message());
+}
+
 }  // namespace smt

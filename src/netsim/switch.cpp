@@ -2,6 +2,23 @@
 
 namespace smt::sim {
 
+Status SwitchConfig::validate() const {
+  if (port_bandwidth_gbps <= 0.0) {
+    return make_error(Errc::invalid_argument,
+                      "port bandwidth must be positive");
+  }
+  if (queue_capacity_bytes == 0) {
+    return make_error(Errc::invalid_argument,
+                      "queue capacity must be positive");
+  }
+  if (health_dark_threshold > 0 && health_probe_interval <= 0) {
+    return make_error(Errc::invalid_argument,
+                      "probe interval must be positive when the dark "
+                      "threshold is set");
+  }
+  return Status::success();
+}
+
 void Switch::receive(Packet pkt) {
   const std::vector<std::size_t>* group = lookup_group(pkt.hdr);
   if (group == nullptr) {
@@ -84,64 +101,24 @@ void Switch::drain(std::size_t port_index) {
   queue.pop_front();
   port.queued_bytes -= pkt.wire_size();
 
-  // Port fault model (set_port_fault), applied at serialisation time in
-  // the same fixed order as LinkDirection::send: flap, burst loss,
-  // corruption, jitter. A killed packet still charges the wire slot.
-  bool killed = false;
+  // The port's Wire at serialisation time, in this draw order: flap,
+  // burst loss, corruption, jitter. A killed packet still charges its slot.
+  const SimTime now = loop_.now();
   SimDuration jitter = 0;
-  if (port.fault_rng) {
-    const FaultProfile& f = port.fault;
-    if (f.flaps_enabled()) {
-      const bool down = fault_flap_down_at(f, loop_.now());
-      if (!down && port.was_down) {
-        port.next_free = loop_.now();  // outage voids the queue occupancy
-      }
-      port.was_down = down;
-      killed = down;
-    }
-    if (!killed && f.ge_enabled()) {
-      const double rate = port.ge_bad ? f.bad_loss_rate : f.good_loss_rate;
-      killed = rate > 0.0 && port.fault_rng->chance(rate);
-      if (port.ge_bad) {
-        if (f.p_bad_to_good > 0.0 && port.fault_rng->chance(f.p_bad_to_good)) {
-          port.ge_bad = false;
-        }
-      } else if (f.p_good_to_bad > 0.0 &&
-                 port.fault_rng->chance(f.p_good_to_bad)) {
-        port.ge_bad = true;
-      }
-    }
-    if (!killed) {
-      if (f.corrupt_rate > 0.0 && port.fault_rng->chance(f.corrupt_rate)) {
-        pkt.hdr.corrupted = true;
-      }
-      if (f.reorder_rate > 0.0 && f.reorder_jitter > 0 &&
-          port.fault_rng->chance(f.reorder_rate)) {
-        jitter = SimDuration(1) + SimDuration(port.fault_rng->next_below(
-                                      std::uint64_t(f.reorder_jitter)));
-      }
-    }
-  }
-
-  const double gbps = port.bandwidth_gbps > 0.0 ? port.bandwidth_gbps
-                                                : config_.port_bandwidth_gbps;
-  const double bits = double(pkt.wire_size()) * 8.0;
-  const SimDuration serialization = SimDuration(bits / gbps);
-  const SimTime start = std::max(loop_.now(), port.next_free);
-  port.next_free = start + serialization;
+  const bool killed =
+      port.wire.flap_kills(now) || !port.wire.draw_faults(pkt, jitter);
+  const SimTime end = port.wire.charge(now, pkt.wire_size());
 
   if (killed) {
     ++stats_.fault_dropped;
-    ++port.stats.fault_dropped;
     observe_fault_drop(port_index);
-    loop_.schedule_at(port.next_free,
-                      [this, port_index] { drain(port_index); });
+    loop_.schedule_at(end, [this, port_index] { drain(port_index); });
     return;
   }
   port.consecutive_fault_drops = 0;  // a success resets the health count
 
-  loop_.schedule_at(port.next_free, [this, port_index, jitter,
-                                     pkt = std::move(pkt)]() mutable {
+  loop_.schedule_at(end, [this, port_index, jitter,
+                          pkt = std::move(pkt)]() mutable {
     Port& out = ports_[port_index];
     // Fault jitter only ADDS to the egress delay, preserving the
     // cross-shard lookahead contract (arrival >= now + egress_latency).
@@ -180,7 +157,7 @@ void Switch::schedule_probe(std::size_t port_index, std::uint64_t epoch) {
   loop_.schedule(config_.health_probe_interval, [this, port_index, epoch] {
     Port& port = ports_[port_index];
     if (!port.dark || port.probe_epoch != epoch) return;
-    if (fault_flap_down_at(port.fault, loop_.now())) {
+    if (port.wire.flap_down_at(loop_.now())) {
       // Probe lost into the flap window: stay dark, re-arm. Pure phase
       // arithmetic — probes never draw from the fault RNG, so packet
       // draws replay identically whatever the health state does.

@@ -20,9 +20,9 @@
 // same reason). Selection is a pure function of (flow, seed): a flow
 // takes one path for its lifetime, across runs and shard counts.
 //
-// Fabric-core faults + link health: an egress port may carry a
-// FaultProfile (set_port_fault) — the fabric-core analogue of
-// LinkDirection's fault model, applied at serialisation time. On top of
+// Fabric-core faults + link health: every egress port owns a sim::Wire,
+// the same cursor + fault model as an edge LinkDirection, so a
+// FaultProfile (set_port_fault) acts at serialisation time. On top of
 // it sits a deterministic per-port health state machine: consecutive
 // fault-killed egress attempts past `health_dark_threshold` mark the
 // port DARK; ECMP then excludes it by rank-preserving group shrink (the
@@ -35,15 +35,14 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <optional>
 #include <set>
 #include <vector>
 
-#include "common/rng.hpp"
+#include "common/result.hpp"
 #include "common/time.hpp"
 #include "netsim/event.hpp"
-#include "netsim/link.hpp"
 #include "netsim/packet.hpp"
+#include "netsim/wire.hpp"
 
 namespace smt::sim {
 
@@ -64,6 +63,9 @@ struct SwitchConfig {
   /// Probes never draw from the fault RNG, so the per-packet draw
   /// sequence is unperturbed by health state.
   SimDuration health_probe_interval = usec(100);
+
+  /// Range checks; the message names no owner (callers prefix theirs).
+  Status validate() const;
 };
 
 class Switch {
@@ -76,9 +78,7 @@ class Switch {
   /// Adds an output port; returns its index. `deliver` receives packets
   /// after queueing + serialisation (+ the port's egress latency, if set).
   std::size_t add_port(PacketHandler deliver) {
-    Port port;
-    port.deliver = std::move(deliver);
-    ports_.push_back(std::move(port));
+    ports_.emplace_back(std::move(deliver), config_.port_bandwidth_gbps);
     return ports_.size() - 1;
   }
 
@@ -102,10 +102,10 @@ class Switch {
     ports_.at(port).egress_latency = latency;
   }
 
-  /// Per-port egress bandwidth override (0 = the switch-wide default).
-  /// Fabrics use this for oversubscribed uplinks.
+  /// Per-port egress bandwidth override (ports start at the switch-wide
+  /// port_bandwidth_gbps). Fabrics use this for oversubscribed uplinks.
   void set_port_bandwidth(std::size_t port, double gbps) {
-    ports_.at(port).bandwidth_gbps = gbps;
+    ports_.at(port).wire.set_bandwidth(gbps);
   }
 
   /// Routes an IP to a single port (static forwarding table).
@@ -127,24 +127,16 @@ class Switch {
 
   void set_ecmp_seed(std::uint64_t seed) { config_.ecmp_seed = seed; }
 
-  /// Applies a FaultProfile to an egress port — the fabric-core analogue
-  /// of LinkDirection's fault model. Flaps and Gilbert–Elliott loss kill
-  /// the packet at serialisation time (the slot is still charged: a
-  /// killed packet occupied the wire, same drop-accounting contract as
-  /// LinkDirection); corruption delivers with hdr.corrupted set; reorder
+  /// Applies a FaultProfile to an egress port's Wire. Flaps and
+  /// Gilbert–Elliott loss kill the packet at serialisation time (the slot
+  /// is still charged); corruption delivers with hdr.corrupted set; reorder
   /// jitter only ever ADDS to the egress delay, so the cross-shard
   /// lookahead contract (arrival >= serialisation end + egress_latency)
   /// holds. `stream` picks the decorrelated fault-RNG stream via
   /// mix_seed — Fabric uses a fabric-wide wire index. Wire before run().
   void set_port_fault(std::size_t port, const FaultProfile& fault,
                       std::uint64_t stream) {
-    Port& p = ports_.at(port);
-    p.fault = fault;
-    if (fault.enabled()) {
-      p.fault_rng.emplace(mix_seed(fault.seed, stream));
-    } else {
-      p.fault_rng.reset();
-    }
+    ports_.at(port).wire.set_fault(fault, stream);
   }
 
   /// Whether the health state machine currently has this port dark.
@@ -182,7 +174,7 @@ class Switch {
 
   /// Per-egress-port counters (overflow drops/trims are charged to the
   /// port whose queue overflowed; dark-path counters to the port the
-  /// flow NOMINALLY hashed onto).
+  /// flow NOMINALLY hashed onto; fault_dropped is read off the port's Wire).
   struct PortStats {
     std::uint64_t forwarded = 0;
     std::uint64_t trimmed = 0;
@@ -193,29 +185,26 @@ class Switch {
     std::uint64_t resteered_flows = 0;
     std::uint64_t dropped_dark = 0;
   };
-  const PortStats& port_stats(std::size_t port) const {
-    return ports_.at(port).stats;
+  PortStats port_stats(std::size_t port) const {
+    PortStats stats = ports_.at(port).stats;
+    stats.fault_dropped = ports_.at(port).wire.fault_dropped();
+    return stats;
   }
   std::size_t port_count() const noexcept { return ports_.size(); }
 
  private:
   struct Port {
+    Port(PacketHandler d, double gbps) : deliver(std::move(d)), wire(gbps) {}
+
     PacketHandler deliver;
+    Wire wire;  // cursor + fault model (set_port_fault)
     std::deque<Packet> high_queue;  // control + trimmed stubs
     std::deque<Packet> data_queue;
     RemoteScheduler remote;  // set => egress crosses a shard boundary
     std::size_t queued_bytes = 0;
     SimDuration egress_latency = 0;
-    double bandwidth_gbps = 0.0;  // 0 = switch-wide default
-    SimTime next_free = 0;
     bool draining = false;
     PortStats stats;
-    // Fabric-link fault state (set_port_fault) — mirrors LinkDirection's
-    // sender-side fault machinery, one decorrelated RNG stream per port.
-    FaultProfile fault;
-    std::optional<Rng> fault_rng;  // nullopt = no faults on this port
-    bool ge_bad = false;           // Gilbert–Elliott state (false = good)
-    bool was_down = false;         // last observed flap state
     // Health state machine (config_.health_dark_threshold > 0).
     bool dark = false;
     std::size_t consecutive_fault_drops = 0;

@@ -199,46 +199,11 @@ Status validate_link(const sim::LinkConfig& config) {
 }
 
 Status validate_fault(const sim::FaultProfile& f, const char* where) {
-  const std::string at(where);
-  for (const double p : {f.p_good_to_bad, f.p_bad_to_good, f.good_loss_rate,
-                         f.bad_loss_rate, f.corrupt_rate, f.reorder_rate}) {
-    if (p < 0.0 || p > 1.0) {
-      return make_error(Errc::invalid_argument,
-                        at + ": probabilities must be within [0, 1]");
-    }
-  }
-  if (f.reorder_jitter < 0 || f.flap_period < 0 || f.flap_down < 0 ||
-      f.flap_offset < 0) {
-    return make_error(Errc::invalid_argument, at + ": durations must be >= 0");
-  }
-  if (f.flap_down > 0 && f.flap_period == 0) {
-    return make_error(Errc::invalid_argument,
-                      at + ": flap_down_us needs flap_period_us > 0");
-  }
-  if (f.flap_period > 0 && f.flap_down >= f.flap_period) {
-    return make_error(Errc::invalid_argument,
-                      at + ": flap_down_us must be < flap_period_us "
-                      "(equal means the link never comes up)");
-  }
-  return Status::success();
+  return prefixed(where, f.validate());
 }
 
 Status validate_switch(const sim::SwitchConfig& config) {
-  if (config.port_bandwidth_gbps <= 0.0) {
-    return make_error(Errc::invalid_argument,
-                      "switch: port bandwidth must be positive");
-  }
-  if (config.queue_capacity_bytes == 0) {
-    return make_error(Errc::invalid_argument,
-                      "switch: queue capacity must be positive");
-  }
-  if (config.health_dark_threshold > 0 &&
-      config.health_probe_interval <= 0) {
-    return make_error(Errc::invalid_argument,
-                      "switch: probe_interval_us must be positive when "
-                      "dark_threshold is set");
-  }
-  return Status::success();
+  return prefixed("switch", config.validate());
 }
 
 Status validate_workload(const WorkloadSpec& spec) {

@@ -63,10 +63,11 @@ struct WorkloadSpec {
 Status validate_topology(const TopologySpec& spec);
 Status validate_host(const HostConfig& config);
 Status validate_link(const sim::LinkConfig& config);
-/// Range/shape checks for a FaultProfile, shared by the edge `[fault]`
-/// section (inside validate_link) and the fabric-core `[fabric_fault]`
-/// section. `where` prefixes the error ("fault" / "fabric_fault").
+/// FaultProfile::validate for the edge `[fault]` section (inside
+/// validate_link) and the fabric-core `[fabric_fault]` section. `where`
+/// prefixes the error ("fault" / "fabric_fault").
 Status validate_fault(const sim::FaultProfile& fault, const char* where);
+/// SwitchConfig::validate, prefixed "switch".
 Status validate_switch(const sim::SwitchConfig& config);
 Status validate_workload(const WorkloadSpec& spec);
 
