@@ -186,6 +186,25 @@ Result<std::unique_ptr<RpcFabric>> RpcFabric::create(
 
 RpcFabric::~RpcFabric() = default;
 
+namespace {
+transport::HomaEndpoint::TableAudit audit_of(
+    const transport::HomaEndpoint* homa, const proto::SmtEndpoint* smt) {
+  if (smt != nullptr) return smt->table_audit();
+  if (homa != nullptr) return homa->table_audit();
+  return {};
+}
+}  // namespace
+
+transport::HomaEndpoint::TableAudit RpcFabric::server_table_audit() const {
+  return audit_of(homa_server_.get(), smt_server_.get());
+}
+
+transport::HomaEndpoint::TableAudit RpcFabric::client_table_audit(
+    std::size_t i) const {
+  const ClientNode& node = clients_.at(i);
+  return audit_of(node.homa.get(), node.smt.get());
+}
+
 Status RpcFabric::init_two_host(sim::ShardedEngine* engine,
                                 std::size_t client_shard,
                                 std::size_t server_shard) {

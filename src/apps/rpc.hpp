@@ -183,6 +183,12 @@ class RpcFabric {
   stack::Host& server_host() noexcept { return *server_host_; }
   const RpcFabricConfig& config() const noexcept { return config_; }
 
+  /// Live Homa table sizes of the server and of client `i` (message
+  /// transports; all zero for the stream transports). After a quiesced
+  /// run tx/rx are empty and dedup stays within its history limit.
+  transport::HomaEndpoint::TableAudit server_table_audit() const;
+  transport::HomaEndpoint::TableAudit client_table_audit(std::size_t i) const;
+
   /// Total wall-clock the server spent on app cores + softirq (for §5.2
   /// CPU-usage accounting).
   std::uint64_t server_busy_ns() const {

@@ -12,19 +12,35 @@
 //     store: the common capture sets (this + a key + a couple of scalars,
 //     or a wrapped std::function) run with ZERO heap allocations per
 //     scheduled event. Larger captures fall back to one heap cell.
-//   * Events live in a free-listed pool; the priority queue is an indexed
-//     4-ary min-heap of 24-byte (when, seq, index) slots, so sift
-//     operations move small PODs instead of whole closures, and draining
-//     pops by MOVE — the old std::priority_queue engine *copied*
-//     queue_.top() (a full std::function deep-copy, including any captured
-//     packet payload) for every event executed.
+//   * Events live in a free-listed pool; the priority queue is a monotone
+//     radix heap (Ahuja, Mehlhorn, Orlin & Tarjan, 1990) keyed on `when`
+//     alone. Bucket b > 0 holds the keys whose highest bit differing from
+//     `last_` is bit b-1; bucket 0 is the FIFO of events at exactly
+//     `last_`. Each bucket is a FIFO list threaded through a 16-byte
+//     (when, next) link array that runs parallel to the pool, so the queue
+//     grows only when the pool does and bucket walks stay dense.
+//     A push is one XOR, one count-leading-zeros and a tail link; a pop
+//     that finds bucket 0 empty redistributes the lowest non-empty bucket
+//     around its minimum, so an event moves at most 64 times however long
+//     it waits (a 5 ms timer among nanosecond packet hops). No
+//     (when, seq) comparisons, no sifting.
 //
-// The (when, seq) FIFO tie-break contract is bit-identical to the previous
-// engine: virtual-time results cannot change, only the wall-clock cost of
-// producing them.
+// FIFO order among equal timestamps follows from the bucket invariant
+// rather than from a sequence field: equal keys always share a bucket in
+// insertion order, and redistribution preserves the order it finds. A
+// schedule therefore runs in (when, insertion order), the contract that
+// tests/netsim/event_test.cpp checks against a reference queue.
+//
+// The one rule the bounded runs keep: `last_` advances only to a time
+// that is about to run. run_until, run_ready_before and earliest() peek
+// past their bound without redistributing, because a caller may still
+// insert at any time >= now() — below the next pending event — and the
+// radix heap only accepts keys >= last_.
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -159,21 +175,23 @@ class EventLoop {
     std::uint32_t index;
     if (free_head_ != kNone) {
       index = free_head_;
-      free_head_ = pool_[index].next_free;
-      pool_[index].fn = std::move(fn);
+      free_head_ = links_[index].next;
+      pool_[index] = std::move(fn);
     } else {
       index = std::uint32_t(pool_.size());
-      pool_.emplace_back(PooledEvent{std::move(fn), kNone});
+      pool_.push_back(std::move(fn));
+      links_.emplace_back();
     }
-    heap_.push_back(HeapSlot{when, next_seq_++, index});
-    sift_up(heap_.size() - 1);
+    links_[index].when = when;
+    push(index);
+    ++size_;
   }
 
   /// Runs events until the queue drains or `deadline` passes.
   /// Returns the number of events executed.
   std::size_t run_until(SimTime deadline) {
     std::size_t executed = 0;
-    while (!heap_.empty() && heap_.front().when <= deadline && !stopped_) {
+    while (size_ != 0 && earliest() <= deadline && !stopped_) {
       run_top();
       ++executed;
     }
@@ -184,7 +202,7 @@ class EventLoop {
   /// Runs until the queue is empty (or stop() is called).
   std::size_t run() {
     std::size_t executed = 0;
-    while (!heap_.empty() && !stopped_) {
+    while (size_ != 0 && !stopped_) {
       run_top();
       ++executed;
     }
@@ -196,8 +214,12 @@ class EventLoop {
 
   /// Timestamp of the earliest pending event, or kNoEvent. The sharded
   /// engine's coordinator uses this to pick each barrier window's floor.
+  /// A peek: it reads the lowest non-empty bucket's minimum and never
+  /// redistributes, so `last_` stays put.
   SimTime earliest() const noexcept {
-    return heap_.empty() ? kNoEvent : heap_.front().when;
+    if (buckets_[0].head != kNone) return last_;
+    if (occupied_ == 0) return kNoEvent;
+    return buckets_[std::size_t(std::countr_zero(occupied_)) + 1].min;
   }
 
   /// Runs every event with `when` STRICTLY before `horizon`, then stops.
@@ -208,7 +230,7 @@ class EventLoop {
   /// callers keep using run()/run_until, whose behaviour is unchanged.
   std::size_t run_ready_before(SimTime horizon) {
     std::size_t executed = 0;
-    while (!heap_.empty() && heap_.front().when < horizon && !stopped_) {
+    while (size_ != 0 && earliest() < horizon && !stopped_) {
       run_top();
       ++executed;
     }
@@ -220,78 +242,91 @@ class EventLoop {
   bool stopped() const noexcept { return stopped_; }
   void reset_stop() noexcept { stopped_ = false; }
 
-  bool empty() const noexcept { return heap_.empty(); }
-  std::size_t pending() const noexcept { return heap_.size(); }
+  bool empty() const noexcept { return size_ == 0; }
+  std::size_t pending() const noexcept { return size_; }
 
  private:
   static constexpr std::uint32_t kNone = 0xffffffffu;
+  // Bucket 0 plus one per bit of a 64-bit key.
+  static constexpr std::size_t kBuckets = 65;
 
-  /// Sift keys: 24-byte PODs ordered by (when, seq); the closure stays put
-  /// in the pool while the heap rearranges.
-  struct HeapSlot {
-    SimTime when;
-    std::uint64_t seq;
-    std::uint32_t index;
+  /// Queue state of pool slot i, kept apart from the closures so bucket
+  /// walks touch 16 bytes per event.
+  struct Link {
+    SimTime when = 0;
+    // While queued: the next event in the same bucket. While free: the
+    // next free slot.
+    std::uint32_t next = kNone;
   };
-  struct PooledEvent {
-    Callback fn;
-    std::uint32_t next_free = kNone;
+  /// FIFO list of pool indices, and the smallest key it holds.
+  struct Bucket {
+    std::uint32_t head = kNone;
+    std::uint32_t tail = kNone;
+    SimTime min = kNoEvent;
   };
 
-  static bool earlier(const HeapSlot& a, const HeapSlot& b) noexcept {
-    if (a.when != b.when) return a.when < b.when;
-    return a.seq < b.seq;  // FIFO among same-time events
+  /// Appends pool slot `index` to the bucket of its key.
+  void push(std::uint32_t index) {
+    Link& link = links_[index];
+    assert(link.when >= last_ && "radix heap key below last_");
+    link.next = kNone;
+    // Bucket 0 when the key equals last_, else one plus the highest bit
+    // in which it differs from last_.
+    const std::size_t b = std::size_t(
+        std::bit_width(std::uint64_t(link.when) ^ std::uint64_t(last_)));
+    Bucket& bucket = buckets_[b];
+    if (bucket.head == kNone) {
+      bucket.head = index;
+    } else {
+      links_[bucket.tail].next = index;
+    }
+    bucket.tail = index;
+    if (b != 0) {
+      bucket.min = std::min(bucket.min, link.when);
+      occupied_ |= std::uint64_t(1) << (b - 1);
+    }
+  }
+
+  /// Bucket 0 is empty: advances last_ to the minimum of the lowest
+  /// non-empty bucket and spreads that bucket over the lower ones, in the
+  /// order it holds its events. Only called for an event about to run.
+  void redistribute() {
+    const std::size_t b = std::size_t(std::countr_zero(occupied_)) + 1;
+    const Bucket from = buckets_[b];
+    buckets_[b] = Bucket{};
+    occupied_ &= ~(std::uint64_t(1) << (b - 1));
+    last_ = from.min;
+    for (std::uint32_t index = from.head; index != kNone;) {
+      const std::uint32_t next = links_[index].next;
+      push(index);
+      index = next;
+    }
   }
 
   /// Pops and runs the earliest event. The callback is moved out (never
   /// copied) and its pool slot is recycled before it runs, so a callback
   /// that schedules new events reuses the hottest slot.
   void run_top() {
-    const HeapSlot top = heap_.front();
-    Callback fn = std::move(pool_[top.index].fn);
-    pool_[top.index].next_free = free_head_;
-    free_head_ = top.index;
-    heap_.front() = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) sift_down(0);
-    now_ = top.when;
+    if (buckets_[0].head == kNone) redistribute();
+    const std::uint32_t index = buckets_[0].head;
+    Link& link = links_[index];
+    buckets_[0].head = link.next;
+    --size_;
+    now_ = link.when;
+    Callback fn = std::move(pool_[index]);
+    link.next = free_head_;
+    free_head_ = index;
     fn();
   }
 
-  void sift_up(std::size_t pos) {
-    HeapSlot moving = heap_[pos];
-    while (pos > 0) {
-      const std::size_t parent = (pos - 1) / 4;
-      if (!earlier(moving, heap_[parent])) break;
-      heap_[pos] = heap_[parent];
-      pos = parent;
-    }
-    heap_[pos] = moving;
-  }
-
-  void sift_down(std::size_t pos) {
-    const std::size_t size = heap_.size();
-    HeapSlot moving = heap_[pos];
-    for (;;) {
-      const std::size_t first_child = 4 * pos + 1;
-      if (first_child >= size) break;
-      std::size_t best = first_child;
-      const std::size_t last_child = std::min(first_child + 4, size);
-      for (std::size_t c = first_child + 1; c < last_child; ++c) {
-        if (earlier(heap_[c], heap_[best])) best = c;
-      }
-      if (!earlier(heap_[best], moving)) break;
-      heap_[pos] = heap_[best];
-      pos = best;
-    }
-    heap_[pos] = moving;
-  }
-
   SimTime now_ = 0;
-  std::uint64_t next_seq_ = 0;
+  SimTime last_ = 0;  // every pending key is >= last_; last_ <= now_
   bool stopped_ = false;
-  std::vector<HeapSlot> heap_;
-  std::vector<PooledEvent> pool_;  // free-listed closure storage
+  std::size_t size_ = 0;
+  std::uint64_t occupied_ = 0;  // bit b-1 set: bucket b > 0 is non-empty
+  std::array<Bucket, kBuckets> buckets_;
+  std::vector<Callback> pool_;  // free-listed closure storage
+  std::vector<Link> links_;     // parallel to pool_
   std::uint32_t free_head_ = kNone;
 };
 

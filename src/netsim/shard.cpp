@@ -97,7 +97,7 @@ void ShardedEngine::post_from(std::size_t src, std::size_t dst, SimTime when,
                               EventCallback fn) {
   if (shards_.size() == 1) {
     // One-shard mode is byte-identical to the plain engine: a "remote"
-    // post IS a local schedule_at, with the same seq assignment.
+    // post IS a local schedule_at, queued in the same insertion order.
     shards_[0]->loop.schedule_at(when, std::move(fn));
     return;
   }

@@ -37,8 +37,8 @@
 // Determinism holds per shard count. A 1-shard and an N-shard run of the
 // same scenario agree on all virtual-time results unless the scenario
 // makes two SAME-TIMESTAMP events race for the same destination state
-// from a local and a remote source (the (when, seq) tie then resolves by
-// scheduling order, which sharding changes). docs/determinism.md spells
+// from a local and a remote source (the equal-time tie then resolves by
+// insertion order, which sharding changes). docs/determinism.md spells
 // out the full contract.
 #pragma once
 

@@ -139,7 +139,12 @@ class TcpEndpoint {
     std::size_t flow_hash = 0;  // memoized flow.hash(): per-packet queue and
                                 // softirq-core choices never rehash the tuple
     // Send side.
-    Bytes send_buffer;          // bytes from snd_una onward
+    // Stream bytes from send_base onward. send_base is snd_una, or with
+    // TLS offload the start of the oldest sent record not yet fully
+    // acked: a retransmission re-sends that record whole, so its acked
+    // prefix stays buffered.
+    Bytes send_buffer;
+    std::uint64_t send_base = 0;
     std::uint64_t snd_una = 0;  // first unacked stream offset
     std::uint64_t snd_nxt = 0;  // next stream offset to send
     std::uint32_t dup_acks = 0;

@@ -13,8 +13,8 @@
 // WORK to the 1-shard run (same completions, same frames, same bytes,
 // same records) even though its micro-schedule may legitimately differ:
 // with 24 concurrent channels and interrupt coalescing, same-timestamp
-// local/remote ties at a host do occur, and the (when, seq) tie then
-// resolves by scheduling order, which sharding changes. That caveat is
+// local/remote ties at a host do occur, and the equal-time tie then
+// resolves by insertion order, which sharding changes. That caveat is
 // the one docs/determinism.md documents; this test demonstrates it is
 // bounded to micro-ordering, never to what the simulation computes.
 #include <gtest/gtest.h>
@@ -24,6 +24,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "apps/rpc.hpp"
@@ -66,7 +67,10 @@ HostSnapshot snapshot_host(stack::Host& host) {
 // RpcFabric constructor; otherwise the fabric is placed on a ShardedEngine
 // with the client on shard 0 and the server on shard `shards - 1` (i.e.
 // same shard when shards == 1, a true cross-shard link when shards == 2).
-RunSnapshot run_workload(std::size_t shards) {
+// `inspect`, when set, sees the fabric after the run has quiesced.
+RunSnapshot run_workload(
+    std::size_t shards,
+    const std::function<void(const RpcFabric&)>& inspect = {}) {
   RpcFabricConfig config;
   config.kind = TransportKind::smt_hw;
   config.propagation = usec(2);  // >= engine lookahead, cross-shard safe
@@ -110,6 +114,7 @@ RunSnapshot run_workload(std::size_t shards) {
 
   snap.client = snapshot_host(fabric->client_host());
   snap.server = snapshot_host(fabric->server_host());
+  if (inspect) inspect(*fabric);
   return snap;
 }
 
@@ -126,6 +131,27 @@ TEST(ShardDeterminism, TwoShardRunToRunByteIdentical) {
   EXPECT_TRUE(first.client == second.client) << "client counters diverged";
   EXPECT_TRUE(first.server == second.server) << "server counters diverged";
   EXPECT_TRUE(first == second);
+}
+
+TEST(ShardDeterminism, QuiescedHomaTablesAreBounded) {
+  // Memory-boundedness audit: once every RPC has completed and the loop
+  // has drained (backstop timers included), neither host holds a live
+  // Homa message, and the dedup history stays within its limit.
+  const std::size_t limit = transport::HomaConfig{}.dedup_history_limit;
+  for (const std::size_t shards : {1u, 2u}) {
+    const RunSnapshot snap = run_workload(shards, [&](const RpcFabric& fabric) {
+      const std::pair<const char*, transport::HomaEndpoint::TableAudit>
+          audits[] = {{"client", fabric.client_table_audit(0)},
+                      {"server", fabric.server_table_audit()}};
+      for (const auto& [side, audit] : audits) {
+        EXPECT_EQ(audit.tx_messages, 0u) << side << ", shards " << shards;
+        EXPECT_EQ(audit.rx_messages, 0u) << side << ", shards " << shards;
+        EXPECT_GT(audit.dedup_entries, 0u) << side << ", shards " << shards;
+        EXPECT_LE(audit.dedup_entries, limit) << side << ", shards " << shards;
+      }
+    });
+    EXPECT_EQ(snap.completed, 600u) << "shards " << shards;
+  }
 }
 
 TEST(ShardDeterminism, OneShardEngineMatchesPlainFabric) {

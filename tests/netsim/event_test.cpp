@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
+#include <map>
+#include <utility>
 #include <vector>
+
+#include "common/rng.hpp"
 
 namespace smt::sim {
 namespace {
@@ -174,6 +180,195 @@ TEST(EventLoop, PendingCount) {
   EXPECT_EQ(loop.pending(), 2u);
   loop.run();
   EXPECT_TRUE(loop.empty());
+}
+
+
+TEST(EventLoop, InsertBelowNextPendingAfterBoundedRuns) {
+  // A bounded run peeks at the next pending event (10 us) without running
+  // it; inserts between the bound and that event must still run first.
+  EventLoop loop;
+  std::vector<int> order;
+  loop.schedule(usec(10), [&] { order.push_back(10); });
+  loop.run_until(usec(2));
+  EXPECT_EQ(loop.earliest(), usec(10));
+  loop.schedule_at(usec(3), [&] { order.push_back(3); });
+  EXPECT_EQ(loop.earliest(), usec(3));
+  loop.run_ready_before(usec(4));
+  EXPECT_EQ(loop.now(), usec(3));
+  // The mailbox-drain pattern: posts at or after the horizon.
+  loop.schedule_at(usec(4), [&] { order.push_back(4); });
+  loop.schedule_at(usec(3), [&] { order.push_back(33); });
+  loop.run();
+  EXPECT_EQ(order, (std::vector<int>{3, 33, 4, 10}));
+}
+
+namespace {
+
+/// The ordering contract spelled out directly: a queue keyed by
+/// (when, insertion index) with the same clamp, bound and stop rules as
+/// EventLoop. The differential test below runs every schedule on both.
+class ReferenceLoop {
+ public:
+  SimTime now() const { return now_; }
+  SimTime earliest() const {
+    return events_.empty() ? EventLoop::kNoEvent : events_.begin()->first.first;
+  }
+  std::size_t pending() const { return events_.size(); }
+  void schedule_at(SimTime when, std::function<void()> fn) {
+    events_.emplace(std::pair{std::max(when, now_), next_index_++},
+                    std::move(fn));
+  }
+  std::size_t run_until(SimTime deadline) {
+    const std::size_t executed =
+        drain([deadline](SimTime when) { return when <= deadline; });
+    if (now_ < deadline && !stopped_) now_ = deadline;
+    return executed;
+  }
+  std::size_t run_ready_before(SimTime horizon) {
+    return drain([horizon](SimTime when) { return when < horizon; });
+  }
+  std::size_t run() {
+    return drain([](SimTime) { return true; });
+  }
+  void stop() { stopped_ = true; }
+  bool stopped() const { return stopped_; }
+  void reset_stop() { stopped_ = false; }
+
+ private:
+  template <typename Ready>
+  std::size_t drain(Ready ready) {
+    std::size_t executed = 0;
+    while (!events_.empty() && ready(events_.begin()->first.first) &&
+           !stopped_) {
+      auto node = events_.extract(events_.begin());
+      now_ = node.key().first;
+      node.mapped()();
+      ++executed;
+    }
+    return executed;
+  }
+
+  SimTime now_ = 0;
+  bool stopped_ = false;
+  std::uint64_t next_index_ = 0;
+  std::map<std::pair<SimTime, std::uint64_t>, std::function<void()>> events_;
+};
+
+/// Delay mix of the simulator: same instant, +1 ns, nanosecond hops, the
+/// 5 ms Homa backstop, and arbitrary timers up to 10 ms.
+SimDuration draw_delay(Rng& rng) {
+  switch (rng.next_below(5)) {
+    case 0: return 0;
+    case 1: return 1;
+    case 2: return SimDuration(rng.next_below(2000));
+    case 3: return msec(5);
+    default: return SimDuration(rng.next_below(std::uint64_t(msec(10))));
+  }
+}
+
+/// Runs one seeded random schedule and returns its trace: (id, now) for
+/// every executed event, and (-1, op, executed, now, earliest, pending)
+/// after every top-level step. Each event's own actions — nested schedules,
+/// stop() — come from an Rng keyed by its id, so two loops that execute
+/// the same events in the same order produce identical traces.
+template <typename Loop>
+std::vector<SimTime> run_schedule(std::uint64_t seed) {
+  Loop loop;
+  Rng steps(seed);
+  std::vector<SimTime> trace;
+  std::uint64_t next_id = 0;
+  std::function<void(SimTime)> add = [&](SimTime when) {
+    const std::uint64_t id = next_id++;
+    loop.schedule_at(when, [&, id] {
+      trace.push_back(SimTime(id));
+      trace.push_back(loop.now());
+      Rng own(mix_seed(seed, id));
+      const std::uint64_t roll = own.next_below(20);
+      const int children = roll < 9 ? 0 : roll < 17 ? 1 : 2;  // mean 0.75
+      for (int c = 0; c < children; ++c) add(loop.now() + draw_delay(own));
+      if (own.chance(0.01)) loop.stop();
+    });
+  };
+  // Inserts `count` events spread over [lo, hi), or at lo when empty.
+  auto add_between = [&](SimTime lo, SimTime hi, std::uint64_t count) {
+    for (std::uint64_t i = 0; i < count; ++i) {
+      add(hi > lo ? lo + SimTime(steps.next_below(std::uint64_t(hi - lo)))
+                  : lo);
+    }
+  };
+  auto record = [&](SimTime op, std::size_t executed) {
+    trace.insert(trace.end(), {-1, op, SimTime(executed), loop.now(),
+                               loop.earliest(), SimTime(loop.pending())});
+  };
+
+  for (int step = 0; step < 400; ++step) {
+    const std::uint64_t op = steps.next_below(6);
+    std::size_t executed = 0;
+    switch (op) {
+      case 0: {  // same-timestamp burst
+        const SimTime when = loop.now() + draw_delay(steps);
+        for (std::uint64_t i = 0, n = 1 + steps.next_below(8); i < n; ++i) {
+          add(when);
+        }
+        break;
+      }
+      case 1:
+        add(loop.now() + draw_delay(steps));
+        break;
+      case 2: {  // run_until(d), then inserts in [d, next pending)
+        const SimTime deadline = loop.now() + draw_delay(steps);
+        executed = loop.run_until(deadline);
+        add_between(deadline, std::min(loop.earliest(), deadline + msec(6)),
+                    1 + steps.next_below(4));
+        break;
+      }
+      case 3: {  // run_ready_before(h), then the mailbox drain: [h, next)
+        const SimTime floor =
+            loop.pending() == 0 ? loop.now() : loop.earliest();
+        const SimTime horizon = floor + SimTime(steps.next_below(3000));
+        executed = loop.run_ready_before(horizon);
+        add_between(horizon, std::min(loop.earliest(), horizon + msec(6)),
+                    1 + steps.next_below(4));
+        add_between(loop.now(), horizon, steps.next_below(2));
+        break;
+      }
+      case 4:
+        executed = loop.run_until(loop.earliest() == EventLoop::kNoEvent
+                                      ? loop.now()
+                                      : loop.earliest());
+        break;
+      default:
+        if (loop.pending() < 64) executed = loop.run();
+        break;
+    }
+    record(SimTime(op), executed);
+    if (loop.stopped()) {
+      trace.push_back(-2);
+      loop.reset_stop();
+    }
+  }
+  record(-1, loop.run());
+  return trace;
+}
+
+}  // namespace
+
+TEST(EventLoop, DifferentialAgainstInsertionOrderedReference) {
+  std::ptrdiff_t stops = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const std::vector<SimTime> expected = run_schedule<ReferenceLoop>(seed);
+    const std::vector<SimTime> actual = run_schedule<EventLoop>(seed);
+    ASSERT_GT(expected.size(), 4000u) << "seed " << seed;
+    stops += std::count(expected.begin(), expected.end(), SimTime(-2));
+    const auto diverged =
+        std::mismatch(expected.begin(), expected.end(), actual.begin(),
+                      actual.end());
+    ASSERT_TRUE(diverged.first == expected.end() &&
+                diverged.second == actual.end())
+        << "seed " << seed << ": traces diverge at entry "
+        << (diverged.first - expected.begin()) << " of " << expected.size();
+  }
+  EXPECT_GT(stops, 0) << "no schedule exercised stop()/reset_stop()";
 }
 
 }  // namespace

@@ -402,5 +402,67 @@ TEST_F(TcpTest, TlsOffloadRetransmitResyncs) {
   EXPECT_GT(client_host_.nic().counters().resyncs, 0u);
 }
 
+
+TEST_F(TcpTest, TlsOffloadRtoAfterPartialAckResendsWholeRecord) {
+  // One 3-packet record; the third packet is lost, the receiver acks the
+  // first two (a partial ACK mid-record), and the RTO re-sends the record
+  // from its start so the NIC can re-encrypt it whole. The acked prefix
+  // must still be in the send buffer: the retransmission carries exactly
+  // the bytes of the first transmission.
+  tls::TrafficKeys keys;
+  keys.key = Bytes(16, 0x51);
+  keys.iv = Bytes(12, 0x52);
+  const auto conn = client_.connect(2, 80);
+  ASSERT_TRUE(client_
+                  .enable_tls_offload(conn, tls::CipherSuite::aes_128_gcm_sha256,
+                                      keys, 0)
+                  .ok());
+
+  Bytes body(4000);
+  for (std::size_t i = 0; i < body.size(); ++i) body[i] = std::uint8_t(i * 7);
+  Bytes wire;
+  append_u8(wire, 23);
+  append_u16be(wire, 0x0303);
+  append_u16be(wire, std::uint16_t(body.size() + 1 + 16));
+  append(wire, body);
+  append_u8(wire, 23);
+  wire.resize(wire.size() + 16, 0);
+  ASSERT_GT(wire.size(), 2 * client_host_.nic().config().mtu_payload);
+
+  // Every data packet on the wire, in order: (stream offset, bytes).
+  std::vector<std::pair<std::uint32_t, Bytes>> sent;
+  topology_->direct_link()->a2b().set_drop_predicate(
+      [&sent](const sim::Packet& pkt) {
+        if (pkt.hdr.type != sim::PacketType::data) return false;
+        sent.emplace_back(pkt.hdr.seq,
+                          Bytes(pkt.payload.begin(), pkt.payload.end()));
+        return sent.size() == 3;  // the record's last packet, first try
+      });
+  std::vector<TcpEndpoint::RecordMark> marks;
+  marks.push_back({0, body.size() + 1, 0});
+  client_.send(conn, wire, nullptr, std::move(marks));
+  loop_.run();
+
+  EXPECT_EQ(client_.stats().rto_fires, 1u);
+  EXPECT_EQ(client_.stats().fast_retransmits, 0u);
+  ASSERT_EQ(sent.size(), 6u);
+  Bytes first, resent;
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(sent[i].first, std::uint32_t(first.size()));
+    append(first, sent[i].second);
+    EXPECT_EQ(sent[3 + i].first, std::uint32_t(resent.size()));
+    append(resent, sent[3 + i].second);
+  }
+  ASSERT_EQ(first.size(), wire.size());
+  EXPECT_EQ(resent, first) << "the retransmission re-encrypted other bytes";
+
+  ASSERT_EQ(server_received_.size(), wire.size());
+  tls::RecordProtection rp(tls::CipherSuite::aes_128_gcm_sha256, keys);
+  const auto opened = rp.open(0, server_received_);
+  ASSERT_TRUE(opened.ok()) << opened.error().message;
+  EXPECT_EQ(opened.value().payload, body);
+  EXPECT_EQ(client_.unacked_bytes(conn), 0u);
+}
+
 }  // namespace
 }  // namespace smt::transport

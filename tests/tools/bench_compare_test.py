@@ -86,7 +86,9 @@ class BenchCompareTest(unittest.TestCase):
         self.assertIn("events/sec", out)
         self.assertIn("allocs per RPC", out)
         self.assertIn("incast_drops 5->6", out)
-        self.assertIn("adversity_completed_total 1792->1791", out)
+        with open(BASELINE) as f:
+            completed = json.load(f)["baseline_smoke_adversity_completed_total"]
+        self.assertIn(f"adversity_completed_total {completed}->{completed - 1}", out)
         self.assertIn("corefault_dark_transitions 32->33", out)
 
     def test_missing_key_is_an_error(self):
