@@ -127,7 +127,7 @@ void schedule_flood(RpcFabric& fabric, std::size_t count, SimTime t0) {
 }
 
 RowResult run_row(const Adversity& row, TransportKind kind,
-                  std::size_t shards) {
+                  std::size_t shards, QuiescedTables& tables) {
   RpcFabricConfig config;
   config.kind = kind;
   config.propagation = usec(1);
@@ -176,6 +176,7 @@ RowResult run_row(const Adversity& row, TransportKind kind,
   };
   for (std::size_t i = 0; i < kConcurrency; ++i) issue(i);
   engine.run();
+  tables.check(fabric, std::string(row.name) + "/" + apps::transport_key(kind));
 
   result.completed = rtts_us.size();
   p50_p99(rtts_us, result.p50_us, result.p99_us);
@@ -183,10 +184,9 @@ RowResult run_row(const Adversity& row, TransportKind kind,
                       double(request_bytes + response_bytes) * 8.0;
   result.goodput_gbps =
       last_completion > 0 ? bits / double(last_completion) : 0;
-  const double cpu_ns = double(fabric.client_busy_ns()) +
-                        double(fabric.server_busy_ns()) +
-                        double(fabric.client_irq_ns()) +
-                        double(fabric.server_irq_ns());
+  // IRQ time is already a slice of the busy totals (CpuCore::irq_busy_ns).
+  const double cpu_ns =
+      double(fabric.client_busy_ns()) + double(fabric.server_busy_ns());
   result.cpu_us_per_rpc =
       result.completed > 0 ? cpu_ns / 1e3 / double(result.completed) : 0;
   return result;
@@ -280,7 +280,7 @@ struct CoreResult {
 };
 
 CoreResult run_core_row(const CoreRow& core, TransportKind kind,
-                        std::size_t shards) {
+                        std::size_t shards, QuiescedTables& tables) {
   const stack::ScenarioConfig scenario = core_scenario();
   sim::ShardedEngine engine(shards, usec(1));
   auto built = stack::TopologyBuilder(scenario).build(engine);
@@ -351,6 +351,7 @@ CoreResult run_core_row(const CoreRow& core, TransportKind kind,
   };
   for (std::size_t slot = 0; slot < channels.size(); ++slot) issue(slot);
   engine.run();
+  tables.check(fabric, core.name + "/" + apps::transport_key(kind));
 
   CoreResult result;
   std::vector<double> rtts_us;
@@ -366,10 +367,9 @@ CoreResult run_core_row(const CoreRow& core, TransportKind kind,
                       double(request_bytes + response_bytes) * 8.0;
   result.row.goodput_gbps =
       last_completion > 0 ? bits / double(last_completion) : 0;
-  const double cpu_ns = double(fabric.client_busy_ns()) +
-                        double(fabric.server_busy_ns()) +
-                        double(fabric.client_irq_ns()) +
-                        double(fabric.server_irq_ns());
+  // IRQ time is already a slice of the busy totals (CpuCore::irq_busy_ns).
+  const double cpu_ns =
+      double(fabric.client_busy_ns()) + double(fabric.server_busy_ns());
   result.row.cpu_us_per_rpc = result.row.completed > 0
                                   ? cpu_ns / 1e3 / double(result.row.completed)
                                   : 0;
@@ -414,6 +414,7 @@ int main(int argc, char** argv) {
   const std::vector<TransportKind> kinds = {
       TransportKind::smt_hw, TransportKind::smt_sw, TransportKind::ktls_hw};
   const std::vector<Adversity> rows = scenario_matrix();
+  QuiescedTables tables;
 
   std::printf("Adversity matrix: 2-host RPC fabric, 2048 B req / 512 B resp, "
               "%zu shard(s)\n", shards);
@@ -423,7 +424,7 @@ int main(int argc, char** argv) {
   std::size_t completed_total = 0;
   for (const Adversity& row : rows) {
     for (const TransportKind kind : kinds) {
-      const RowResult r = run_row(row, kind, shards);
+      const RowResult r = run_row(row, kind, shards, tables);
       completed_total += r.completed;
       std::printf("%-12s %-8s %13.3f %9.1f %9.1f %12.2f %7zu/%zu\n", row.name,
                   apps::transport_key(kind), r.goodput_gbps, r.p50_us,
@@ -446,7 +447,8 @@ int main(int argc, char** argv) {
   // no-fault datapath the same way virtual_mrpc_per_sec does.
   json_metric("adversity_completed_total", double(completed_total));
   {
-    const RowResult clean = run_row(rows[0], TransportKind::smt_hw, shards);
+    const RowResult clean =
+        run_row(rows[0], TransportKind::smt_hw, shards, tables);
     json_metric("adversity_goodput_gbps_clean", clean.goodput_gbps);
   }
 
@@ -462,7 +464,7 @@ int main(int argc, char** argv) {
   std::uint64_t corefault_dark_total = 0;
   for (const CoreRow& row : core_rows) {
     for (const TransportKind kind : kinds) {
-      const CoreResult r = run_core_row(row, kind, shards);
+      const CoreResult r = run_core_row(row, kind, shards, tables);
       corefault_completed_total += r.row.completed;
       corefault_resteered_total += r.resteered_flows;
       corefault_dark_total += r.dark_transitions;
@@ -500,8 +502,8 @@ int main(int argc, char** argv) {
   if (smoke()) {
     // Determinism self-check: the nastiest fault row must replay
     // byte-identically run-to-run at this shard count.
-    const RowResult a = run_row(rows[2], TransportKind::smt_hw, shards);
-    const RowResult b = run_row(rows[2], TransportKind::smt_hw, shards);
+    const RowResult a = run_row(rows[2], TransportKind::smt_hw, shards, tables);
+    const RowResult b = run_row(rows[2], TransportKind::smt_hw, shards, tables);
     if (a.completed != b.completed || a.goodput_gbps != b.goodput_gbps ||
         a.p99_us != b.p99_us || a.cpu_us_per_rpc != b.cpu_us_per_rpc) {
       std::fprintf(stderr,
@@ -513,9 +515,9 @@ int main(int argc, char** argv) {
                 "run-to-run at %zu shard(s)\n", shards);
     // Same contract for the core-fault matrix, health counters included.
     const CoreResult ca = run_core_row(core_rows[0], TransportKind::smt_hw,
-                                       shards);
+                                       shards, tables);
     const CoreResult cb = run_core_row(core_rows[0], TransportKind::smt_hw,
-                                       shards);
+                                       shards, tables);
     if (!(ca == cb)) {
       std::fprintf(stderr,
                    "DETERMINISM FAILURE: core_flap smt_hw diverged "
@@ -525,5 +527,5 @@ int main(int argc, char** argv) {
     std::printf("determinism self-check: core_flap x smt_hw byte-identical "
                 "run-to-run at %zu shard(s)\n", shards);
   }
-  return 0;
+  return tables.report() ? 0 : 1;
 }

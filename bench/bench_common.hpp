@@ -41,6 +41,52 @@ inline void p50_p99(std::vector<double>& samples, double& p50, double& p99) {
   p99 = samples[std::size_t(double(samples.size() - 1) * 0.99)];
 }
 
+/// Quiesced-table audit: after engine.run() every SMT/Homa endpoint of a
+/// fabric must hold no TX or RX message state, and at most its dedup
+/// history limit of completed-message entries — per-host transport state
+/// stays memory-bounded whatever the row did. Stream transports have no
+/// such tables and are skipped. A bench checks every fabric it runs and
+/// exits non-zero unless report() says every endpoint passed.
+class QuiescedTables {
+ public:
+  void check(const apps::RpcFabric& fabric, const std::string& row) {
+    if (!apps::is_message_based(fabric.config().kind)) return;
+    audit(row + " server", fabric.server_table_audit());
+    for (std::size_t i = 0; i < fabric.client_count(); ++i) {
+      audit(row + " client " + std::to_string(i), fabric.client_table_audit(i));
+    }
+  }
+
+  /// Prints the summary line; true when no endpoint failed.
+  bool report() const {
+    std::printf("table audit: %zu SMT/Homa endpoints, %zu failed; max dedup "
+                "entries %zu\n",
+                endpoints_, failures_, max_dedup_);
+    return failures_ == 0;
+  }
+
+ private:
+  void audit(const std::string& where,
+             const transport::HomaEndpoint::TableAudit& a) {
+    ++endpoints_;
+    max_dedup_ = std::max(max_dedup_, a.dedup_entries);
+    if (a.tx_messages == 0 && a.rx_messages == 0 &&
+        a.dedup_entries <= a.dedup_limit) {
+      return;
+    }
+    ++failures_;
+    std::fprintf(stderr,
+                 "TABLE AUDIT FAILURE: %s: tx=%zu rx=%zu dedup=%zu "
+                 "(limit %zu)\n",
+                 where.c_str(), a.tx_messages, a.rx_messages,
+                 a.dedup_entries, a.dedup_limit);
+  }
+
+  std::size_t endpoints_ = 0;
+  std::size_t failures_ = 0;
+  std::size_t max_dedup_ = 0;
+};
+
 /// --- smoke mode ----------------------------------------------------------
 ///
 /// Every bench binary accepts `--smoke` (or BENCH_SMOKE=1 in the

@@ -74,7 +74,8 @@ struct IncastResult {
 };
 
 IncastResult run_incast(const stack::ScenarioConfig& scenario,
-                        TransportKind kind, std::size_t shards) {
+                        TransportKind kind, std::size_t shards,
+                        QuiescedTables& tables) {
   sim::ShardedEngine engine(shards, usec(1));
   auto built = stack::TopologyBuilder(scenario).build(engine);
   if (!built.ok()) {
@@ -129,6 +130,7 @@ IncastResult run_incast(const stack::ScenarioConfig& scenario,
   };
   for (std::size_t slot = 0; slot < channels.size(); ++slot) issue(slot);
   engine.run();
+  tables.check(fabric, apps::transport_key(kind));
 
   IncastResult result;
   std::vector<double> rtts_us;
@@ -200,8 +202,9 @@ int main(int argc, char** argv) {
   std::printf("%-10s %14s %10s %10s %10s\n", "transport", "goodput_gbps",
               "p50_us", "p99_us", "drops");
 
+  QuiescedTables tables;
   for (const TransportKind kind : kinds) {
-    const IncastResult r = run_incast(scenario, kind, shards);
+    const IncastResult r = run_incast(scenario, kind, shards, tables);
     std::printf("%-10s %14.2f %10.1f %10.1f %10.0f\n",
                 apps::transport_key(kind), r.goodput_gbps, r.p50_us, r.p99_us,
                 r.drops);
@@ -216,5 +219,5 @@ int main(int argc, char** argv) {
       json_metric("incast_drops", r.drops);
     }
   }
-  return 0;
+  return tables.report() ? 0 : 1;
 }

@@ -443,8 +443,9 @@ void RpcFabric::setup_transports() {
             [this](transport::HomaEndpoint::MessageMeta, Bytes data) {
               if (data.size() < 8) return;
               const std::uint64_t corr = load_u64be(data.data());
-              const auto it = channels_.find(corr >> 32);
-              if (it != channels_.end()) it->second->on_response(std::move(data));
+              if (RpcChannel* const* channel = channels_.find(corr >> 32)) {
+                (*channel)->on_response(std::move(data));
+              }
             });
         break;
       }
@@ -472,8 +473,9 @@ void RpcFabric::setup_transports() {
             [this](proto::SmtEndpoint::MessageMeta, Bytes data) {
               if (data.size() < 8) return;
               const std::uint64_t corr = load_u64be(data.data());
-              const auto it = channels_.find(corr >> 32);
-              if (it != channels_.end()) it->second->on_response(std::move(data));
+              if (RpcChannel* const* channel = channels_.find(corr >> 32)) {
+                (*channel)->on_response(std::move(data));
+              }
             });
         break;
       }
@@ -590,7 +592,7 @@ std::unique_ptr<RpcChannel> RpcFabric::make_channel(
   stack::Host& host = *clients_.at(client_index).host;
   auto channel = std::unique_ptr<RpcChannel>(new RpcChannel(
       *this, id, client_index, app_core_index % host.app_core_count()));
-  channels_[id] = channel.get();
+  channels_.try_emplace(id, channel.get());
   return channel;
 }
 
@@ -638,7 +640,8 @@ void RpcChannel::call(Bytes request, std::uint32_t resp_len,
   append_u32be(message, resp_len);
   append(message, request);
 
-  pending_[corr] = Pending{node().host->loop().now(), std::move(done)};
+  *pending_.try_emplace(corr).first =
+      Pending{node().host->loop().now(), std::move(done)};
 
   stack::CpuCore& core = node().host->app_core(app_core_);
   switch (fabric_.config_.kind) {
@@ -684,10 +687,10 @@ void RpcChannel::on_stream_data(Bytes data) {
 void RpcChannel::on_response(Bytes message) {
   if (message.size() < 8) return;
   const std::uint64_t corr = load_u64be(message.data());
-  const auto it = pending_.find(corr);
-  if (it == pending_.end()) return;
-  Pending pending = std::move(it->second);
-  pending_.erase(it);
+  Pending* const found = pending_.find(corr);
+  if (found == nullptr) return;
+  Pending pending = std::move(*found);
+  pending_.erase(corr);
 
   // Application wakeup on the client thread completes the RPC.
   stack::CpuCore& core = node().host->app_core(app_core_);

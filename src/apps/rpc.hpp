@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "baselines/ktls.hpp"
+#include "common/flat_map.hpp"
 #include "crypto/drbg.hpp"
 #include "netsim/link.hpp"
 #include "netsim/shard.hpp"
@@ -281,7 +282,7 @@ class RpcFabric {
   RpcHandler handler_;
   AsyncRpcHandler async_handler_;
   std::map<std::uint64_t, StreamConnState> server_streams_;
-  std::map<std::uint64_t, RpcChannel*> channels_;  // by correlation prefix
+  FlatMap<std::uint64_t, RpcChannel*> channels_;  // by correlation prefix
   std::uint64_t next_channel_id_ = 1;
   std::size_t next_server_core_ = 0;
 };
@@ -326,7 +327,7 @@ class RpcChannel {
     SimTime issued_at;
     DoneCallback done;
   };
-  std::map<std::uint64_t, Pending> pending_;
+  FlatMap<std::uint64_t, Pending> pending_;  // by correlation id
 };
 
 }  // namespace smt::apps

@@ -338,46 +338,42 @@ Result<std::uint32_t> Nic::create_flow_context(tls::CipherSuite suite,
     return make_error(Errc::resource_exhausted, "NIC flow contexts exhausted");
   }
   const std::uint32_t id = next_context_id_++;
-  contexts_.emplace(id,
-                    FlowContext{suite, keys, crypto::AesGcm(keys.key),
-                                initial_seq});
+  contexts_.try_emplace(id, FlowContext{suite, keys, crypto::AesGcm(keys.key),
+                                        initial_seq});
   ++counters_.context_allocs;
   return id;
 }
 
 void Nic::release_flow_context(std::uint32_t id) {
-  const auto it = contexts_.find(id);
-  if (it == contexts_.end()) return;
-  if (it->second.inflight > 0) {
-    it->second.pending_release = true;  // erased when the last user drains
+  FlowContext* const ctx = contexts_.find(id);
+  if (ctx == nullptr) return;
+  if (ctx->inflight > 0) {
+    ctx->pending_release = true;  // erased when the last user drains
     return;
   }
-  contexts_.erase(it);
+  contexts_.erase(id);
 }
 
 bool Nic::context_in_flight(std::uint32_t id) const {
-  const auto it = contexts_.find(id);
-  return it != contexts_.end() && it->second.inflight > 0;
+  const FlowContext* const ctx = contexts_.find(id);
+  return ctx != nullptr && ctx->inflight > 0;
 }
 
 void Nic::pin_context(std::uint32_t id) {
-  const auto it = contexts_.find(id);
-  if (it != contexts_.end()) ++it->second.inflight;
+  if (FlowContext* const ctx = contexts_.find(id)) ++ctx->inflight;
 }
 
 void Nic::unpin_context(std::uint32_t id) {
-  const auto it = contexts_.find(id);
-  if (it == contexts_.end()) return;
-  if (it->second.inflight > 0) --it->second.inflight;
-  if (it->second.inflight == 0 && it->second.pending_release) {
-    contexts_.erase(it);
-  }
+  FlowContext* const ctx = contexts_.find(id);
+  if (ctx == nullptr) return;
+  if (ctx->inflight > 0) --ctx->inflight;
+  if (ctx->inflight == 0 && ctx->pending_release) contexts_.erase(id);
 }
 
 std::optional<std::uint64_t> Nic::context_seq(std::uint32_t id) const {
-  const auto it = contexts_.find(id);
-  if (it == contexts_.end()) return std::nullopt;
-  return it->second.internal_seq;
+  const FlowContext* const ctx = contexts_.find(id);
+  if (ctx == nullptr) return std::nullopt;
+  return ctx->internal_seq;
 }
 
 void Nic::post_resync(std::size_t queue, std::uint32_t context_id,
@@ -456,8 +452,9 @@ void Nic::process_batch(std::size_t burst) {
 
     if (d.is_resync) {
       ++counters_.resyncs;
-      const auto it = contexts_.find(d.resync_context);
-      if (it != contexts_.end()) it->second.internal_seq = d.resync_seq;
+      if (FlowContext* const ctx = contexts_.find(d.resync_context)) {
+        ctx->internal_seq = d.resync_seq;
+      }
       unpin_context(d.resync_context);
     } else {
       ++counters_.segments;
@@ -491,8 +488,8 @@ void Nic::encrypt_records(SegmentDescriptor& descriptor) {
   MutByteView payload = descriptor.segment.payload.mutate();
 
   for (const TlsRecordDesc& rec : descriptor.records) {
-    const auto it = contexts_.find(rec.context_id);
-    if (it == contexts_.end()) {
+    FlowContext* const found = contexts_.find(rec.context_id);
+    if (found == nullptr) {
       // The driver let a referenced context disappear (should be prevented
       // by in-flight pinning + the LRU manager). The hardware analogue is
       // DMA-ing an unencrypted shell: the record fails authentication at
@@ -500,7 +497,7 @@ void Nic::encrypt_records(SegmentDescriptor& descriptor) {
       ++counters_.context_misses;
       continue;
     }
-    FlowContext& ctx = it->second;
+    FlowContext& ctx = *found;
 
     assert(rec.record_offset + tls::kRecordHeaderSize + rec.plaintext_len +
                tls::tag_length(ctx.suite) <=

@@ -78,6 +78,7 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/flat_map.hpp"
 #include "common/result.hpp"
 #include "netsim/event.hpp"
 #include "netsim/link.hpp"
@@ -473,7 +474,7 @@ class Nic {
   std::vector<std::size_t> rss_table_;
   std::map<std::size_t, std::size_t> rss_pending_;  // entry -> target ring
 
-  std::map<std::uint32_t, FlowContext> contexts_;
+  FlatMap<std::uint32_t, FlowContext> contexts_;  // by context id
   std::uint32_t next_context_id_ = 1;
   std::uint16_t next_ip_id_ = 1;
 

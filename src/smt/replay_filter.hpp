@@ -8,11 +8,16 @@
 //
 // Senders allocate IDs monotonically, so the filter keeps a compact
 // low-water mark plus the sparse set of out-of-order IDs above it; memory
-// stays bounded no matter how many messages a session carries.
+// stays bounded no matter how many messages a session carries. The sparse
+// set is a vector sorted in DESCENDING order: the IDs the low-water mark
+// folds in next sit at the back, so folding is a pop_back, and in-order
+// traffic never allocates.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <set>
+#include <functional>
+#include <vector>
 
 namespace smt::proto {
 
@@ -24,19 +29,24 @@ class MessageIdFilter {
     if (msg_id == next_expected_) {
       ++next_expected_;
       // Fold in any contiguous run waiting in the sparse set.
-      auto it = above_.begin();
-      while (it != above_.end() && *it == next_expected_) {
+      while (!above_.empty() && above_.back() == next_expected_) {
         ++next_expected_;
-        it = above_.erase(it);
+        above_.pop_back();
       }
       return true;
     }
-    return above_.insert(msg_id).second;
+    const auto pos = std::lower_bound(above_.begin(), above_.end(), msg_id,
+                                      std::greater<>());
+    if (pos != above_.end() && *pos == msg_id) return false;
+    above_.insert(pos, msg_id);
+    return true;
   }
 
   /// True if the ID has been seen (without recording anything).
   bool seen(std::uint64_t msg_id) const {
-    return msg_id < next_expected_ || above_.count(msg_id) > 0;
+    return msg_id < next_expected_ ||
+           std::binary_search(above_.begin(), above_.end(), msg_id,
+                              std::greater<>());
   }
 
   /// All IDs below this are known-seen.
@@ -53,7 +63,7 @@ class MessageIdFilter {
 
  private:
   std::uint64_t next_expected_ = 0;
-  std::set<std::uint64_t> above_;
+  std::vector<std::uint64_t> above_;  // descending; all > next_expected_
 };
 
 }  // namespace smt::proto

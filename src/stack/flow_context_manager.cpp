@@ -5,12 +5,11 @@ namespace smt::stack {
 Result<FlowContextManager::Lease*> FlowContextManager::acquire(
     const FlowKey& key, tls::CipherSuite suite, const tls::TrafficKeys& keys,
     std::uint64_t first_seq) {
-  const auto it = entries_.find(key);
-  if (it != entries_.end()) {
+  if (const LruList::iterator* node = entries_.find(key)) {
     ++stats_.hits;
-    lru_.splice(lru_.end(), lru_, it->second.lru_pos);  // most recently used
-    it->second.lease.fresh = false;
-    return &it->second.lease;
+    lru_.splice(lru_.end(), lru_, *node);  // most recently used
+    (*node)->lease.fresh = false;
+    return &(*node)->lease;
   }
 
   ++stats_.misses;
@@ -25,14 +24,10 @@ Result<FlowContextManager::Lease*> FlowContextManager::acquire(
 
   if (!ever_held_.insert(key).second) ++stats_.reestablished;
 
-  Entry entry;
-  entry.lease.nic_context_id = created.value();
-  entry.lease.shadow_seq = first_seq;
-  entry.lease.fresh = true;
-  entry.lru_pos = lru_.insert(lru_.end(), key);
-  const auto [pos, inserted] = entries_.emplace(key, std::move(entry));
-  (void)inserted;
-  return &pos->second.lease;
+  const auto node = lru_.insert(
+      lru_.end(), Node{key, Lease{created.value(), first_seq, true}});
+  entries_.try_emplace(key, node);
+  return &node->lease;
 }
 
 // Note: contexts freed while descriptors are in flight (rekey/teardown)
@@ -42,15 +37,13 @@ Result<FlowContextManager::Lease*> FlowContextManager::acquire(
 // the manager simply evicts the next idle victim (or, if every context
 // is busy, fails the acquire).
 bool FlowContextManager::evict_one_idle() {
-  for (auto lru_it = lru_.begin(); lru_it != lru_.end(); ++lru_it) {
-    const auto entry_it = entries_.find(*lru_it);
-    if (entry_it == entries_.end()) continue;  // defensive; should not happen
-    if (nic_.context_in_flight(entry_it->second.lease.nic_context_id)) {
+  for (auto node = lru_.begin(); node != lru_.end(); ++node) {
+    if (nic_.context_in_flight(node->lease.nic_context_id)) {
       continue;  // descriptors still queued; not a safe victim
     }
-    nic_.release_flow_context(entry_it->second.lease.nic_context_id);
-    entries_.erase(entry_it);
-    lru_.erase(lru_it);
+    nic_.release_flow_context(node->lease.nic_context_id);
+    entries_.erase(node->key);
+    lru_.erase(node);
     ++stats_.evictions;
     return true;
   }
@@ -58,14 +51,14 @@ bool FlowContextManager::evict_one_idle() {
 }
 
 void FlowContextManager::invalidate_session(std::uint64_t session_tag) {
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->first.session_tag != session_tag) {
-      ++it;
+  for (auto node = lru_.begin(); node != lru_.end();) {
+    if (node->key.session_tag != session_tag) {
+      ++node;
       continue;
     }
-    nic_.release_flow_context(it->second.lease.nic_context_id);
-    lru_.erase(it->second.lru_pos);
-    it = entries_.erase(it);
+    nic_.release_flow_context(node->lease.nic_context_id);
+    entries_.erase(node->key);
+    node = lru_.erase(node);
   }
   // Forget the session's history too: bounds ever_held_ under endpoint
   // churn and keeps `reestablished` from counting across key epochs (a

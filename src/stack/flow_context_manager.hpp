@@ -19,13 +19,19 @@
 // sessions cost nothing but a table entry, hot sessions keep their
 // contexts, and the thrash cost shows up as resyncs/evictions in stats
 // instead of as hard send failures.
+//
+// Storage: the leases themselves live in the LRU list's nodes, so a
+// Lease* stays valid until that lease is evicted or invalidated. A hashed
+// key -> list-node table finds them (one probe per acquire, no tree walk);
+// it is never iterated — eviction and invalidate_session walk the LRU
+// list, so their order is recency order, never hash order.
 #pragma once
 
 #include <cstdint>
 #include <list>
-#include <map>
 #include <set>
 
+#include "common/flat_map.hpp"
 #include "common/result.hpp"
 #include "netsim/nic.hpp"
 #include "tls/cipher.hpp"
@@ -48,6 +54,18 @@ struct FlowKey {
   FlowDir dir = FlowDir::tx;
   friend auto operator<=>(const FlowKey&, const FlowKey&) = default;
 };
+
+}  // namespace smt::stack
+
+template <>
+struct smt::FlatHash<smt::stack::FlowKey> {
+  std::uint64_t operator()(const stack::FlowKey& key) const noexcept {
+    return mix_seed(key.session_tag,
+                    (std::uint64_t(key.queue) << 8) | std::uint64_t(key.dir));
+  }
+};
+
+namespace smt::stack {
 
 class FlowContextManager {
  public:
@@ -93,7 +111,7 @@ class FlowContextManager {
   /// reestablished on the later acquires, not here.
   void invalidate_all();
 
-  bool holds(const FlowKey& key) const { return entries_.count(key) != 0; }
+  bool holds(const FlowKey& key) const { return entries_.contains(key); }
   std::size_t size() const noexcept { return entries_.size(); }
   const Stats& stats() const noexcept { return stats_; }
 
@@ -104,16 +122,17 @@ class FlowContextManager {
   }
 
  private:
-  struct Entry {
+  struct Node {
+    FlowKey key;
     Lease lease;
-    std::list<FlowKey>::iterator lru_pos;
   };
+  using LruList = std::list<Node>;
 
   bool evict_one_idle();
 
   sim::Nic& nic_;
-  std::list<FlowKey> lru_;  // front = least recently used
-  std::map<FlowKey, Entry> entries_;
+  LruList lru_;  // front = least recently used
+  FlatMap<FlowKey, LruList::iterator> entries_;
   std::set<FlowKey> ever_held_;  // for the reestablished counter
   Stats stats_;
 };

@@ -1,5 +1,6 @@
 #include "transport/homa/homa.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace smt::transport {
@@ -67,7 +68,7 @@ Result<std::uint64_t> HomaEndpoint::send_segments(
   const std::uint64_t msg_id = explicit_id.value_or(next_msg_id_++);
   if (explicit_id && *explicit_id >= next_msg_id_) next_msg_id_ = *explicit_id + 1;
   const TxKey key{dst, msg_id};
-  if (tx_messages_.count(key)) {
+  if (tx_messages_.contains(key)) {
     return make_error(Errc::invalid_argument, "duplicate message id");
   }
 
@@ -87,7 +88,7 @@ Result<std::uint64_t> HomaEndpoint::send_segments(
   }
   assert(offset == total_bytes && "segment sizes must sum to total_bytes");
 
-  auto [it, inserted] = tx_messages_.emplace(key, std::move(tx));
+  auto [stored, inserted] = tx_messages_.try_emplace(key, std::move(tx));
   assert(inserted);
   ++stats_.messages_sent;
 
@@ -98,11 +99,12 @@ Result<std::uint64_t> HomaEndpoint::send_segments(
     const auto& costs = host_.costs();
     const SimDuration cost = costs.syscall + costs.copy_cost(total_bytes);
     app_core->run(cost, [this, key, app_core] {
-      auto it2 = tx_messages_.find(key);
-      if (it2 != tx_messages_.end()) pump_tx(it2->second, app_core);
+      if (TxMessage* const queued = tx_messages_.find(key)) {
+        pump_tx(*queued, app_core);
+      }
     });
   } else {
-    pump_tx(it->second, nullptr);
+    pump_tx(*stored, nullptr);
   }
   return msg_id;
 }
@@ -134,13 +136,13 @@ void HomaEndpoint::arm_tx_retry(const TxKey& key) {
   // up. Duplicates are harmless: the receiver's interval merge and, one
   // layer up, SMT's replay filter absorb them.
   host_.loop().schedule(config_.resend_interval * 5, [this, key] {
-    const auto it = tx_messages_.find(key);
-    if (it == tx_messages_.end()) return;  // acked and freed
-    TxMessage& tx = it->second;
+    TxMessage* const found = tx_messages_.find(key);
+    if (found == nullptr) return;  // acked and freed
+    TxMessage& tx = *found;
     if (++tx.retries > 4) {
       const PeerAddr dst = tx.dst;
       const std::uint64_t msg_id = tx.msg_id;
-      tx_messages_.erase(it);
+      tx_messages_.erase(key);
       // Gave up; report to unblock callers.
       if (on_sent_) on_sent_(dst, msg_id);
       return;
@@ -222,7 +224,7 @@ void HomaEndpoint::handle_data(Packet pkt) {
   // metadata identifies exactly which bytes to re-request — the receiver
   // fires a RESEND immediately instead of waiting for the gap timer.
   if (pkt.hdr.trimmed) {
-    if (recently_completed_.count(key)) return;
+    if (recently_completed_.contains(key)) return;
     std::size_t offset;
     if (pkt.hdr.resend_off != 0) {
       offset = pkt.hdr.resend_off - 1;
@@ -249,10 +251,10 @@ void HomaEndpoint::handle_data(Packet pkt) {
     recently_completed_.erase(completed_order_.front().second);
     completed_order_.pop_front();
   }
-  if (recently_completed_.count(key)) return;
+  if (recently_completed_.contains(key)) return;
 
-  auto [it, created] = rx_messages_.try_emplace(key);
-  RxMessage& rx = it->second;
+  auto [slot, created] = rx_messages_.try_emplace(key);
+  RxMessage& rx = *slot;
   if (created) {
     rx.peer = peer;
     rx.msg_id = pkt.hdr.msg_id;
@@ -299,14 +301,13 @@ void HomaEndpoint::handle_data(Packet pkt) {
   }
 
   auto process = [this, key, offset, payload = std::move(pkt.payload)] {
-    auto it2 = rx_messages_.find(key);
-    if (it2 == rx_messages_.end()) return;
-    RxMessage& rx2 = it2->second;
-    rx_insert(rx2, offset, payload);
-    if (rx2.received_bytes >= rx2.total_bytes) {
+    RxMessage* const rx2 = rx_messages_.find(key);
+    if (rx2 == nullptr) return;
+    rx_insert(*rx2, offset, payload);
+    if (rx2->received_bytes >= rx2->total_bytes) {
       rx_complete(key);
     } else {
-      maybe_grant(rx2);
+      maybe_grant(*rx2);
       arm_resend_timer(key);
     }
   };
@@ -315,9 +316,9 @@ void HomaEndpoint::handle_data(Packet pkt) {
     // The packet's protocol work is gated behind the pacer step.
     host_.softirq_core(0).run(
         pacer_cost, [this, key, rx_cost, process = std::move(process)] {
-          auto it2 = rx_messages_.find(key);
-          if (it2 == rx_messages_.end()) return;
-          host_.softirq_core(it2->second.softirq_core)
+          const RxMessage* const rx2 = rx_messages_.find(key);
+          if (rx2 == nullptr) return;
+          host_.softirq_core(rx2->softirq_core)
               .run(rx_cost, std::move(process));
         });
   } else {
@@ -330,31 +331,37 @@ void HomaEndpoint::rx_insert(RxMessage& rx, std::size_t offset,
   if (data.empty() && rx.total_bytes == 0) return;
   if (offset + data.size() > rx.total_bytes) return;  // malformed; drop
 
-  // Merge [offset, end) into the received-interval map, counting only
+  // Merge [offset, end) into the sorted received intervals, counting only
   // newly covered bytes (duplicates from spurious retransmits are free).
   std::size_t begin = offset;
   std::size_t end = offset + data.size();
   std::copy(data.begin(), data.end(),
             rx.buffer.begin() + std::ptrdiff_t(offset));
 
-  auto it = rx.intervals.upper_bound(begin);
-  if (it != rx.intervals.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second >= begin) {
-      begin = prev->first;
-      end = std::max(end, prev->second);
-      it = rx.intervals.erase(prev);
-    }
+  // [first, last) are the intervals the new range overlaps or touches;
+  // they collapse into one, and received_bytes grows by what that adds.
+  auto& intervals = rx.intervals;
+  auto first = std::upper_bound(intervals.begin(), intervals.end(), begin,
+                                [](std::size_t off, const auto& interval) {
+                                  return off < interval.first;
+                                });
+  if (first != intervals.begin() && std::prev(first)->second >= begin) {
+    --first;
+    begin = first->first;
   }
-  while (it != rx.intervals.end() && it->first <= end) {
-    end = std::max(end, it->second);
-    it = rx.intervals.erase(it);
+  std::size_t already_covered = 0;
+  auto last = first;
+  for (; last != intervals.end() && last->first <= end; ++last) {
+    end = std::max(end, last->second);
+    already_covered += last->second - last->first;
   }
-  // Recompute covered bytes delta.
-  std::size_t covered = 0;
-  rx.intervals[begin] = end;
-  for (const auto& [s, e] : rx.intervals) covered += e - s;
-  rx.received_bytes = covered;
+  rx.received_bytes += (end - begin) - already_covered;
+  if (first == last) {
+    intervals.insert(first, {begin, end});
+  } else {
+    *first = {begin, end};
+    intervals.erase(std::next(first), last);
+  }
 }
 
 void HomaEndpoint::maybe_grant(RxMessage& rx) {
@@ -372,13 +379,13 @@ void HomaEndpoint::maybe_grant(RxMessage& rx) {
 }
 
 void HomaEndpoint::rx_complete(const RxKey& key) {
-  auto it = rx_messages_.find(key);
-  if (it == rx_messages_.end()) return;
-  RxMessage& rx = it->second;
+  RxMessage* const found = rx_messages_.find(key);
+  if (found == nullptr) return;
+  RxMessage& rx = *found;
 
   // Remember the identity briefly to drop spurious retransmissions.
   const SimTime now = host_.loop().now();
-  recently_completed_[key] = now;
+  *recently_completed_.try_emplace(key).first = now;
   completed_order_.emplace_back(now, key);
   while (!completed_order_.empty() &&
          completed_order_.front().first + kCompletedRetention < now) {
@@ -402,7 +409,7 @@ void HomaEndpoint::rx_complete(const RxKey& key) {
   MessageMeta meta{rx.peer, rx.msg_id, rx.softirq_core, rx.rx_queue};
   Bytes payload = std::move(rx.buffer);
   const std::size_t core_index = rx.softirq_core;
-  rx_messages_.erase(it);
+  rx_messages_.erase(key);
 
   // Copy cost only: the application-side wakeup (recvmsg return) is
   // charged by the layer that dispatches to the app thread. The factor
@@ -417,19 +424,19 @@ void HomaEndpoint::rx_complete(const RxKey& key) {
 }
 
 void HomaEndpoint::arm_resend_timer(const RxKey& key) {
-  auto it = rx_messages_.find(key);
-  if (it == rx_messages_.end() || it->second.timer_armed) return;
-  it->second.timer_armed = true;
+  RxMessage* const found = rx_messages_.find(key);
+  if (found == nullptr || found->timer_armed) return;
+  found->timer_armed = true;
   host_.loop().schedule(config_.resend_interval, [this, key] {
-    auto it2 = rx_messages_.find(key);
-    if (it2 == rx_messages_.end()) return;
-    RxMessage& rx = it2->second;
+    RxMessage* const armed = rx_messages_.find(key);
+    if (armed == nullptr) return;
+    RxMessage& rx = *armed;
     rx.timer_armed = false;
     const SimTime idle = host_.loop().now() - rx.last_activity;
     if (idle >= config_.resend_interval) {
       if (++rx.resend_count > config_.max_resends) {
         ++stats_.messages_expired;
-        rx_messages_.erase(it2);
+        rx_messages_.erase(key);
         return;
       }
       // First missing range.
@@ -456,9 +463,9 @@ void HomaEndpoint::arm_resend_timer(const RxKey& key) {
 
 void HomaEndpoint::handle_grant(const Packet& pkt) {
   const PeerAddr peer{pkt.hdr.flow.src_ip, pkt.hdr.flow.src_port};
-  auto it = tx_messages_.find(TxKey{peer, pkt.hdr.msg_id});
-  if (it == tx_messages_.end()) return;
-  TxMessage& tx = it->second;
+  TxMessage* const found = tx_messages_.find(TxKey{peer, pkt.hdr.msg_id});
+  if (found == nullptr) return;
+  TxMessage& tx = *found;
   tx.granted_bytes = std::max<std::size_t>(tx.granted_bytes, pkt.hdr.grant_off);
   // Grant processing runs in the softirq context (§3.2).
   stack::CpuCore& core = host_.softirq_for_hash(tx.flow_hash);
@@ -468,9 +475,9 @@ void HomaEndpoint::handle_grant(const Packet& pkt) {
 
 void HomaEndpoint::handle_resend(const Packet& pkt) {
   const PeerAddr peer{pkt.hdr.flow.src_ip, pkt.hdr.flow.src_port};
-  auto it = tx_messages_.find(TxKey{peer, pkt.hdr.msg_id});
-  if (it == tx_messages_.end()) return;
-  TxMessage& tx = it->second;
+  TxMessage* const found = tx_messages_.find(TxKey{peer, pkt.hdr.msg_id});
+  if (found == nullptr) return;
+  TxMessage& tx = *found;
   const std::size_t from = pkt.hdr.resend_off - 1;
   const std::size_t to = pkt.hdr.grant_off;
 
@@ -519,11 +526,8 @@ void HomaEndpoint::handle_resend(const Packet& pkt) {
 
 void HomaEndpoint::handle_ack(const Packet& pkt) {
   const PeerAddr peer{pkt.hdr.flow.src_ip, pkt.hdr.flow.src_port};
-  const auto it = tx_messages_.find(TxKey{peer, pkt.hdr.msg_id});
-  if (it == tx_messages_.end()) return;
-  const std::uint64_t msg_id = it->first.second;
-  tx_messages_.erase(it);
-  if (on_sent_) on_sent_(peer, msg_id);
+  if (!tx_messages_.erase(TxKey{peer, pkt.hdr.msg_id})) return;
+  if (on_sent_) on_sent_(peer, pkt.hdr.msg_id);
 }
 
 void HomaEndpoint::send_ctrl(PeerAddr dst, PacketType type,

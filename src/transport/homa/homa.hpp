@@ -21,9 +21,11 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <optional>
+#include <utility>
+#include <vector>
 
+#include "common/flat_map.hpp"
 #include "stack/host.hpp"
 
 namespace smt::transport {
@@ -50,6 +52,20 @@ struct PeerAddr {
   std::uint16_t port = 0;
   friend auto operator<=>(const PeerAddr&, const PeerAddr&) = default;
 };
+
+}  // namespace smt::transport
+
+/// Homa's TX/RX/dedup tables are keyed by (peer, message id).
+template <>
+struct smt::FlatHash<std::pair<smt::transport::PeerAddr, std::uint64_t>> {
+  std::uint64_t operator()(const std::pair<transport::PeerAddr, std::uint64_t>&
+                               key) const noexcept {
+    return mix_seed((std::uint64_t(key.first.ip) << 16) | key.first.port,
+                    key.second);
+  }
+};
+
+namespace smt::transport {
 
 /// A pre-built TSO segment of an outgoing message (SMT supplies these;
 /// plain Homa builds them internally). The payload is a slice of a shared
@@ -148,15 +164,17 @@ class HomaEndpoint {
 
   /// Live sizes of the endpoint's per-peer state tables, for the
   /// memory-boundedness audit: after a quiesced run tx/rx must be empty
-  /// and dedup_entries <= the configured history limit.
+  /// and dedup_entries <= dedup_limit (the configured history limit).
   struct TableAudit {
     std::size_t tx_messages = 0;
     std::size_t rx_messages = 0;
     std::size_t dedup_entries = 0;
+    std::size_t dedup_limit = 0;
   };
   TableAudit table_audit() const noexcept {
     return TableAudit{tx_messages_.size(), rx_messages_.size(),
-                      recently_completed_.size()};
+                      recently_completed_.size(),
+                      config_.dedup_history_limit};
   }
 
  private:
@@ -181,7 +199,9 @@ class HomaEndpoint {
     std::uint64_t msg_id = 0;
     std::size_t total_bytes = 0;
     Bytes buffer;
-    std::map<std::size_t, std::size_t> intervals;  // received [off, end)
+    // Received [off, end) ranges, sorted by offset, disjoint and
+    // non-adjacent (touching ranges merge).
+    std::vector<std::pair<std::size_t, std::size_t>> intervals;
     std::size_t received_bytes = 0;
     std::size_t granted_bytes = 0;
     std::size_t softirq_core = 0;  // chosen least-loaded at first packet
@@ -221,11 +241,15 @@ class HomaEndpoint {
   HomaConfig config_;
   MessageHandler on_message_;
   SentHandler on_sent_;
-  std::map<TxKey, TxMessage> tx_messages_;
-  std::map<RxKey, RxMessage> rx_messages_;
-  // Recently completed messages, kept briefly so spurious retransmissions
-  // are recognised and dropped (§4.3) without unbounded memory.
-  std::map<RxKey, SimTime> recently_completed_;
+  // Per-message state is looked up by key only, never walked: hashed
+  // tables, no per-message tree nodes.
+  FlatMap<TxKey, TxMessage> tx_messages_;
+  FlatMap<RxKey, RxMessage> rx_messages_;
+  // Recently completed messages (value: completion time), kept briefly
+  // so spurious retransmissions are recognised and dropped (§4.3) without
+  // unbounded memory. completed_order_ holds the same keys in completion
+  // order and drives both the time and the count bound.
+  FlatMap<RxKey, SimTime> recently_completed_;
   std::deque<std::pair<SimTime, RxKey>> completed_order_;
   std::uint64_t next_msg_id_ = 1;
   Stats stats_;

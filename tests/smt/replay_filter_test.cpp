@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <set>
+
 #include "common/rng.hpp"
 
 namespace smt::proto {
@@ -89,6 +93,46 @@ TEST(MessageIdFilter, RandomPermutationAllAcceptedOnceOnly) {
   EXPECT_EQ(filter.low_water_mark(), kN);
   EXPECT_EQ(filter.sparse_size(), 0u);
   for (const auto id : ids) EXPECT_FALSE(filter.accept(id));
+}
+
+TEST(MessageIdFilter, RandomStreamMatchesSetReference) {
+  // Differential check against the obvious model: a set of every ID ever
+  // accepted. Streams mix in-order runs, reordering within a window and
+  // replays of old IDs; accept, seen and sparse_size must agree with the
+  // model after every arrival.
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    MessageIdFilter filter;
+    std::set<std::uint64_t> accepted;
+    std::uint64_t low_water = 0;  // smallest ID not yet accepted
+    std::uint64_t cursor = 0;     // the sender's allocation front
+    Rng rng(seed);
+    for (int step = 0; step < 3000; ++step) {
+      std::uint64_t id = cursor;
+      const std::uint64_t kind = rng.next_below(10);
+      if (kind < 5) {
+        ++cursor;  // in order
+      } else if (kind < 8) {
+        id += rng.next_below(24);  // ahead of the front
+      } else {
+        id -= std::min<std::uint64_t>(cursor, rng.next_below(48));  // behind
+      }
+      const bool fresh = accepted.insert(id).second;
+      ASSERT_EQ(filter.accept(id), fresh)
+          << "seed " << seed << " step " << step;
+      while (accepted.count(low_water) != 0) ++low_water;
+      ASSERT_EQ(filter.low_water_mark(), low_water);
+      const auto sparse = std::size_t(
+          std::distance(accepted.lower_bound(low_water), accepted.end()));
+      ASSERT_EQ(filter.sparse_size(), sparse);
+      for (int probe = 0; probe < 4; ++probe) {
+        // Probe around the low-water mark, below and above it.
+        const std::uint64_t q = low_water + rng.next_below(40) -
+                                std::min<std::uint64_t>(low_water, 8);
+        ASSERT_EQ(filter.seen(q), accepted.count(q) != 0)
+            << "seed " << seed << " step " << step << " id " << q;
+      }
+    }
+  }
 }
 
 }  // namespace
