@@ -1,4 +1,4 @@
-// Ablations for SMT design choices (DESIGN.md "ablation benches"):
+// Ablations for SMT design choices:
 //
 //   1. TLS record size — the paper aligns <=16 KB records to TSO segments
 //      (§4.3). Smaller records mean more per-record work (framing, tags,

@@ -2,8 +2,8 @@
 //
 // Each bench binary prints the rows/series of one paper table or figure.
 // All latency/throughput numbers are VIRTUAL-time measurements from the
-// deterministic simulator (DESIGN.md "Virtual time"); handshake benches
-// additionally use real wall-clock for crypto operations.
+// deterministic simulator (ARCHITECTURE.md "Events and virtual time");
+// handshake benches additionally use real wall-clock for crypto operations.
 #pragma once
 
 #include <algorithm>

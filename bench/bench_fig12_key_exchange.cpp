@@ -10,7 +10,7 @@
 // handshake operations) + simulated network round trips + the first data
 // exchange at each RPC size. Expected shape: Init beats Init-1RTT by
 // ~52-55 %, Init-FS by ~37-44 %; Rsmp-FS minus Rsmp equals roughly one
-// ECDH per side (paper: 338-387 us; larger here — portable ECC).
+// ECDH per side (paper: 338-387 us).
 #include <map>
 
 #include "bench_common.hpp"

@@ -10,7 +10,7 @@
 //
 // "TLS-usr" uses the TCPLS-like software-only profile as a stand-in for
 // user-space TLS (extra per-record processing, no offload) — recorded as a
-// substitution in DESIGN.md.
+// substitution in ARCHITECTURE.md ("Substitutions").
 #include "apps/miniredis.hpp"
 #include "apps/ycsb.hpp"
 #include "bench_common.hpp"

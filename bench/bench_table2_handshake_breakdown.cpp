@@ -3,12 +3,13 @@
 // Paper methodology: timestamping inside picotls around each handshake
 // operation. Here: wall-clock timing inside our from-scratch handshake
 // engine, averaged over full handshakes. ECDSA (secp256r1) only — this
-// library does not implement RSA (substitution recorded in DESIGN.md), so
-// the paper's "+2048-bit RSA" column is absent. Absolute numbers are
-// larger than the paper's (our portable bignum has no hardware ECC
-// acceleration); the OPERATION RANKING is the reproducible shape: ECDH
-// exchange and certificate verification dominate, CHLO processing and
-// Finished handling are cheap.
+// library does not implement RSA (ARCHITECTURE.md, "Substitutions"), so
+// the paper's "+2048-bit RSA" column is absent. The P-256 code is portable
+// C++ (64-bit Montgomery arithmetic, windowed and fixed-base scalar
+// multiplication, no assembly or ISA-specific paths), so absolute numbers
+// differ from the paper's picotls build; the OPERATION RANKING is the
+// reproducible shape: ECDH exchange and certificate verification dominate,
+// CHLO processing and Finished handling are cheap.
 #include <cstdio>
 #include <map>
 

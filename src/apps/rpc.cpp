@@ -6,6 +6,10 @@
 #include <set>
 #include <string>
 
+#include "crypto/drbg.hpp"
+#include "crypto/ecdsa.hpp"
+#include "tls/cert.hpp"
+
 namespace smt::apps {
 
 namespace {
@@ -128,8 +132,7 @@ stack::ScenarioConfig to_scenario(const RpcFabricConfig& config) {
 }
 
 RpcFabric::RpcFabric(RpcFabricConfig config, Unbuilt)
-    : config_(std::move(config)),
-      rng_(to_bytes(std::string_view("rpc-fabric-seed"))) {
+    : config_(std::move(config)) {
   handler_ = [](ByteView) { return RpcReply{}; };
 }
 
@@ -282,13 +285,10 @@ Status RpcFabric::init_topology(stack::Topology& topology,
   return Status::success();
 }
 
-void RpcFabric::establish_keys() {
-  if (!is_encrypted(config_.kind)) return;
-  // One real TLS 1.3 handshake provides the session keys; connections in
-  // the fabric reuse them (the handshake is off the measured path — the
-  // paper's benches also run over established sessions, §4.2).
-  auto ca = tls::CertificateAuthority::create("dc-root", rng_);
-  const auto server_key = crypto::ecdsa_keypair_from_seed(rng_.generate(32));
+tls::SessionSecrets fabric_handshake() {
+  crypto::HmacDrbg rng(to_bytes(std::string_view("rpc-fabric-seed")));
+  auto ca = tls::CertificateAuthority::create("dc-root", rng);
+  const auto server_key = crypto::ecdsa_keypair_from_seed(rng.generate(32));
   tls::CertChain chain;
   chain.certs.push_back(ca.issue(
       "server", crypto::encode_point(server_key.public_key), 0, 1u << 30));
@@ -303,8 +303,8 @@ void RpcFabric::establish_keys() {
   sc.trusted_ca = ca.public_key();
   sc.now = 100;
 
-  tls::ClientHandshake client_hs(cc, rng_);
-  tls::ServerHandshake server_hs(sc, rng_);
+  tls::ClientHandshake client_hs(cc, rng);
+  tls::ServerHandshake server_hs(sc, rng);
   auto f1 = client_hs.start();
   assert(f1.ok());
   auto sf = server_hs.on_client_flight(f1.value());
@@ -314,10 +314,18 @@ void RpcFabric::establish_keys() {
   const Status done = server_hs.on_client_finished(f2.value());
   assert(done.ok());
   (void)done;
+  return client_hs.secrets();
+}
 
-  suite_ = client_hs.secrets().suite;
-  client_tx_keys_ = client_hs.secrets().client_keys;
-  server_tx_keys_ = client_hs.secrets().server_keys;
+void RpcFabric::establish_keys() {
+  if (!is_encrypted(config_.kind)) return;
+  // One real TLS 1.3 handshake provides the session keys; connections in
+  // the fabric reuse them (the handshake is off the measured path — the
+  // paper's benches also run over established sessions, §4.2).
+  const tls::SessionSecrets secrets = fabric_handshake();
+  suite_ = secrets.suite;
+  client_tx_keys_ = secrets.client_keys;
+  server_tx_keys_ = secrets.server_keys;
 }
 
 void RpcFabric::setup_transports() {

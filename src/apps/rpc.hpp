@@ -30,7 +30,6 @@
 
 #include "baselines/ktls.hpp"
 #include "common/flat_map.hpp"
-#include "crypto/drbg.hpp"
 #include "netsim/link.hpp"
 #include "netsim/shard.hpp"
 #include "smt/endpoint.hpp"
@@ -58,6 +57,12 @@ const char* transport_key(TransportKind kind) noexcept;
 Result<TransportKind> parse_transport(std::string_view name);
 bool is_message_based(TransportKind kind) noexcept;
 bool is_encrypted(TransportKind kind) noexcept;
+
+/// The one TLS 1.3 handshake every encrypted fabric runs: CA and server
+/// key generation, certificate issue, ECDHE, CertificateVerify, chain and
+/// Finished checks, all drawn from one fixed DRBG seed, so every fabric
+/// gets the same session keys.
+tls::SessionSecrets fabric_handshake();
 
 /// Server request handler: returns the response payload plus the
 /// application-level CPU cost to charge (parsing, db lookup, ...).
@@ -261,7 +266,6 @@ class RpcFabric {
   // engine shards in the sharded form; at the topology's loops otherwise.
   sim::EventLoop* client_loop_ = &loop_;
   sim::EventLoop* server_loop_ = &loop_;
-  crypto::HmacDrbg rng_;
   std::unique_ptr<stack::Topology> owned_topology_;  // two-host forms
   stack::Topology* topology_ = nullptr;  // owned or external
 

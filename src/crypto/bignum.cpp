@@ -6,13 +6,6 @@ namespace smt::crypto {
 
 namespace {
 using u128 = unsigned __int128;
-
-int hex_nibble(char c) noexcept {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
 }  // namespace
 
 U256 U256::from_bytes(ByteView be32) noexcept {
@@ -23,69 +16,11 @@ U256 U256::from_bytes(ByteView be32) noexcept {
   return r;
 }
 
-U256 U256::from_hex(std::string_view hex) noexcept {
-  U256 r;
-  for (char c : hex) {
-    const int nib = hex_nibble(c);
-    if (nib < 0) continue;  // allow spaces in literals
-    // r = r * 16 + nib
-    std::uint64_t carry = std::uint64_t(nib);
-    for (auto& limb : r.limbs) {
-      const std::uint64_t out = limb >> 60;
-      limb = (limb << 4) | carry;
-      carry = out;
-    }
-  }
-  return r;
-}
-
 std::array<std::uint8_t, 32> U256::to_bytes() const noexcept {
   std::array<std::uint8_t, 32> out;
   for (int i = 0; i < 4; ++i)
     store_u64be(out.data() + 8 * i, limbs[std::size_t(3 - i)]);
   return out;
-}
-
-int U256::top_bit() const noexcept {
-  for (int limb = 3; limb >= 0; --limb) {
-    if (limbs[std::size_t(limb)] != 0) {
-      return limb * 64 + 63 - __builtin_clzll(limbs[std::size_t(limb)]);
-    }
-  }
-  return -1;
-}
-
-bool u256_less(const U256& a, const U256& b) noexcept {
-  for (int i = 3; i >= 0; --i) {
-    if (a.limbs[std::size_t(i)] != b.limbs[std::size_t(i)])
-      return a.limbs[std::size_t(i)] < b.limbs[std::size_t(i)];
-  }
-  return false;
-}
-
-std::uint64_t u256_add(const U256& a, const U256& b, U256& r) noexcept {
-  u128 carry = 0;
-  for (int i = 0; i < 4; ++i) {
-    const u128 sum = u128(a.limbs[std::size_t(i)]) + b.limbs[std::size_t(i)] + carry;
-    r.limbs[std::size_t(i)] = std::uint64_t(sum);
-    carry = sum >> 64;
-  }
-  return std::uint64_t(carry);
-}
-
-std::uint64_t u256_sub(const U256& a, const U256& b, U256& r) noexcept {
-  std::uint64_t borrow = 0;
-  for (int i = 0; i < 4; ++i) {
-    const std::uint64_t ai = a.limbs[std::size_t(i)];
-    const std::uint64_t bi = b.limbs[std::size_t(i)];
-    const std::uint64_t d1 = ai - bi;
-    const std::uint64_t borrow1 = ai < bi;
-    const std::uint64_t d2 = d1 - borrow;
-    const std::uint64_t borrow2 = d1 < borrow;
-    r.limbs[std::size_t(i)] = d2;
-    borrow = borrow1 | borrow2;
-  }
-  return borrow;
 }
 
 U512 u256_mul(const U256& a, const U256& b) noexcept {

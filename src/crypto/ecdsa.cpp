@@ -13,14 +13,7 @@ namespace {
 /// Converts a 32-byte digest to an integer mod n (for P-256 + SHA-256 the
 /// digest is exactly the group size, so "leftmost bits" is the whole hash).
 U256 bits2int_mod_n(ByteView digest32) {
-  U256 e = U256::from_bytes(digest32);
-  const U256& n = P256::n();
-  if (!u256_less(e, n)) {
-    U256 t;
-    u256_sub(e, n, t);
-    e = t;
-  }
-  return e;
+  return P256::mont_n().reduce(U256::from_bytes(digest32));
 }
 
 }  // namespace
@@ -89,25 +82,24 @@ U256 rfc6979_nonce(const U256& private_key, ByteView digest32) {
 
 EcdsaSignature ecdsa_sign_digest(const U256& private_key, ByteView digest32) {
   assert(digest32.size() == 32);
-  const U256& n = P256::n();
+  const Montgomery& fn = P256::mont_n();
   const U256 e = bits2int_mod_n(digest32);
+  const U256 d = fn.reduce(private_key);
 
   U256 k = rfc6979_nonce(private_key, digest32);
   for (;;) {
-    const AffinePoint point = scalar_mul_base(k);
-    U512 rx_wide{};
-    for (int i = 0; i < 4; ++i)
-      rx_wide.limbs[std::size_t(i)] = point.x.limbs[std::size_t(i)];
-    const U256 r = u512_mod(rx_wide, n);
+    // x < p < 2n, so x mod n is one conditional subtraction.
+    const U256 r = fn.reduce(scalar_mul_base(k).x);
     if (!r.is_zero()) {
-      const U256 k_inv = mod_inv_prime(k, n);
-      const U256 rd = mod_mul(r, private_key, n);
-      const U256 sum = mod_add(e, rd, n);
-      const U256 s = mod_mul(k_inv, sum, n);
+      // s = k^-1 (e + r d). A Montgomery product of a Montgomery-form
+      // operand and a plain one is plain.
+      const U256 k_inv = fn.inv(fn.to_mont(k));
+      const U256 rd = fn.mul(fn.to_mont(r), d);
+      const U256 s = fn.mul(k_inv, fn.add(e, rd));
       if (!s.is_zero()) return EcdsaSignature{r, s};
     }
     // Degenerate nonce (never observed for P-256); perturb and retry.
-    k = mod_add(k, U256::one(), n);
+    k = fn.add(k, U256::one());
   }
 }
 
@@ -124,21 +116,16 @@ bool ecdsa_verify_digest(const AffinePoint& public_key, ByteView digest32,
   if (!u256_less(sig.r, n) || !u256_less(sig.s, n)) return false;
   if (!is_on_curve(public_key)) return false;
 
+  const Montgomery& fn = P256::mont_n();
   const U256 e = bits2int_mod_n(digest32);
-  const U256 s_inv = mod_inv_prime(sig.s, n);
-  const U256 u1 = mod_mul(e, s_inv, n);
-  const U256 u2 = mod_mul(sig.r, s_inv, n);
+  const U256 s_inv = fn.inv(fn.to_mont(sig.s));
+  const U256 u1 = fn.mul(e, s_inv);
+  const U256 u2 = fn.mul(sig.r, s_inv);
 
-  const AffinePoint p1 = scalar_mul_base(u1);
-  const AffinePoint p2 = scalar_mul(u2, public_key);
-  const AffinePoint sum = point_add(p1, p2);
+  const AffinePoint sum = scalar_mul_base_add(u1, u2, public_key);
   if (sum.infinity) return false;
-
-  U512 x_wide{};
-  for (int i = 0; i < 4; ++i)
-    x_wide.limbs[std::size_t(i)] = sum.x.limbs[std::size_t(i)];
-  const U256 v = u512_mod(x_wide, n);
-  return v == sig.r;
+  // x < p < 2n, so x mod n is one conditional subtraction.
+  return fn.reduce(sum.x) == sig.r;
 }
 
 bool ecdsa_verify(const AffinePoint& public_key, ByteView message,

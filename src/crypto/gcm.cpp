@@ -390,17 +390,22 @@ AesGcm::Block AesGcm::compute_tag(const Block& j0, ByteView aad,
 }
 
 Bytes AesGcm::seal(ByteView nonce, ByteView aad, ByteView plaintext) const {
+  Bytes out(plaintext.size() + kTagSize);
+  seal_into(nonce, aad, plaintext, out.data());
+  return out;
+}
+
+void AesGcm::seal_into(ByteView nonce, ByteView aad, ByteView plaintext,
+                       std::uint8_t* out) const noexcept {
   assert(nonce.size() == kNonceSize && "only 96-bit nonces are supported");
   Block j0{};
   std::memcpy(j0.data(), nonce.data(), kNonceSize);
   j0[15] = 1;
 
-  Bytes out(plaintext.size() + kTagSize);
-  ctr_xor(j0, plaintext, out.data());
-  const Block tag =
-      compute_tag(j0, aad, ByteView(out.data(), plaintext.size()));
-  std::memcpy(out.data() + plaintext.size(), tag.data(), kTagSize);
-  return out;
+  const std::size_t len = plaintext.size();
+  ctr_xor(j0, plaintext, out);
+  const Block tag = compute_tag(j0, aad, ByteView(out, len));
+  std::memcpy(out + len, tag.data(), kTagSize);
 }
 
 std::optional<Bytes> AesGcm::open(ByteView nonce, ByteView aad,

@@ -22,6 +22,11 @@ class AesGcm {
   /// Encrypts `plaintext`; returns ciphertext || 16-byte tag.
   Bytes seal(ByteView nonce, ByteView aad, ByteView plaintext) const;
 
+  /// Writes ciphertext || tag (plaintext.size() + kTagSize bytes) to `out`,
+  /// which may be plaintext.data() itself: in-place sealing.
+  void seal_into(ByteView nonce, ByteView aad, ByteView plaintext,
+                 std::uint8_t* out) const noexcept;
+
   /// Verifies and decrypts `ciphertext_and_tag` (ciphertext || tag).
   /// Returns nullopt on authentication failure.
   std::optional<Bytes> open(ByteView nonce, ByteView aad,

@@ -1,5 +1,11 @@
-// NIST P-256 (secp256r1) elliptic-curve arithmetic: fast Solinas field
-// reduction, Jacobian point operations, scalar multiplication, and ECDH.
+// NIST P-256 (secp256r1) elliptic-curve arithmetic and ECDH.
+//
+// Field elements mod p and scalars mod n both use the Montgomery type of
+// bignum.hpp. Points are kept in Jacobian coordinates with Montgomery-form
+// coordinates inside this module and leave it only as canonical affine
+// points. k*P uses a 4-bit fixed window; k*G sums one entry per 4-bit
+// window from a table of multiples of G built once per process; u1*G +
+// u2*Q shares one chain of doublings between both scalars.
 //
 // This backs the paper's key-exchange design (§4.5): TLS 1.3 uses ECDH on
 // secp256r1 and ECDSA signatures with the secp256r1 signature algorithm.
@@ -19,6 +25,8 @@ struct P256 {
   static const U256& b() noexcept;  // curve coefficient (a = -3)
   static const U256& gx() noexcept;
   static const U256& gy() noexcept;
+  /// Montgomery arithmetic modulo the group order n (ECDSA).
+  static const Montgomery& mont_n() noexcept;
 };
 
 /// Affine point; infinity is represented by `infinity == true`.
@@ -31,21 +39,23 @@ struct AffinePoint {
   friend bool operator==(const AffinePoint&, const AffinePoint&) = default;
 };
 
-/// Field arithmetic modulo p with fast Solinas reduction.
+/// Field arithmetic modulo p on canonical (non-Montgomery) values. Any
+/// U256 is accepted; results are reduced.
 U256 fp_add(const U256& a, const U256& b) noexcept;
 U256 fp_sub(const U256& a, const U256& b) noexcept;
 U256 fp_mul(const U256& a, const U256& b) noexcept;
 U256 fp_sqr(const U256& a) noexcept;
 U256 fp_inv(const U256& a) noexcept;
 
-/// Reduces a 512-bit product modulo p (exposed for tests).
-U256 fp_reduce(const U512& v) noexcept;
-
 /// Scalar multiplication k * P. Returns infinity for k == 0 (mod n).
 AffinePoint scalar_mul(const U256& k, const AffinePoint& point) noexcept;
 
 /// k * G for the standard base point.
 AffinePoint scalar_mul_base(const U256& k) noexcept;
+
+/// u1 * G + u2 * Q in one interleaved pass (ECDSA verification).
+AffinePoint scalar_mul_base_add(const U256& u1, const U256& u2,
+                                const AffinePoint& q) noexcept;
 
 /// Point addition (affine interface; handles doubling and infinity).
 AffinePoint point_add(const AffinePoint& a, const AffinePoint& b) noexcept;

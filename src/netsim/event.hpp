@@ -1,7 +1,7 @@
 // Deterministic discrete-event loop with a virtual nanosecond clock.
 //
 // Single-threaded by design: determinism is what lets every bench and test
-// reproduce bit-for-bit (DESIGN.md "Determinism"). Ties are broken by
+// reproduce bit-for-bit (docs/determinism.md). Ties are broken by
 // insertion order, so identical schedules replay identically.
 //
 // The engine is built for wall-clock speed — the simulator schedules one

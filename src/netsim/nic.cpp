@@ -510,21 +510,14 @@ void Nic::encrypt_records(SegmentDescriptor& descriptor) {
     if (hw_seq != rec.record_seq) ++counters_.out_of_sequence_records;
 
     // Nonce = IV XOR hw_seq (RFC 8446 §5.3), same as the software path.
-    Bytes nonce = ctx.keys.iv;
-    for (int i = 0; i < 8; ++i) {
-      nonce[nonce.size() - 1 - std::size_t(i)] ^=
-          static_cast<std::uint8_t>(hw_seq >> (8 * i));
-    }
+    const tls::RecordNonce nonce = tls::record_nonce(ctx.keys.iv, hw_seq);
 
     const std::uint8_t* header = payload.data() + rec.record_offset;
     const ByteView aad(header, tls::kRecordHeaderSize);
     std::uint8_t* body =
         payload.data() + rec.record_offset + tls::kRecordHeaderSize;
-    const ByteView plaintext(body, rec.plaintext_len);
-
-    const Bytes sealed = ctx.aead.seal(nonce, aad, plaintext);
     // ciphertext || tag overwrite the plaintext body + reserved tag space.
-    std::memcpy(body, sealed.data(), sealed.size());
+    ctx.aead.seal_into(nonce, aad, ByteView(body, rec.plaintext_len), body);
 
     ctx.internal_seq = hw_seq + 1;  // self-increment
     ++counters_.records_encrypted;

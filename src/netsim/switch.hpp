@@ -34,10 +34,10 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <set>
 #include <vector>
 
+#include "common/flat_map.hpp"
 #include "common/result.hpp"
 #include "common/time.hpp"
 #include "netsim/event.hpp"
@@ -110,13 +110,13 @@ class Switch {
 
   /// Routes an IP to a single port (static forwarding table).
   void set_route(std::uint32_t dst_ip, std::size_t port) {
-    routes_[dst_ip] = {port};
+    *routes_.try_emplace(dst_ip).first = {port};
   }
 
   /// Routes an IP to an ECMP group: the egress port is picked from the
   /// packet's memoized flow hash perturbed by this switch's ecmp_seed.
   void set_ecmp_route(std::uint32_t dst_ip, std::vector<std::size_t> ports) {
-    routes_[dst_ip] = std::move(ports);
+    *routes_.try_emplace(dst_ip).first = std::move(ports);
   }
 
   /// Fallback ECMP group for destinations with no explicit route (the
@@ -229,9 +229,8 @@ class Switch {
   /// no default, or an empty group).
   const std::vector<std::size_t>* lookup_group(const PacketHeader& hdr) const {
     const std::vector<std::size_t>* group = nullptr;
-    const auto route = routes_.find(hdr.flow.dst_ip);
-    if (route != routes_.end()) {
-      group = &route->second;
+    if (const auto* route = routes_.find(hdr.flow.dst_ip)) {
+      group = route;
     } else if (!default_route_.empty()) {
       group = &default_route_;
     }
@@ -280,7 +279,7 @@ class Switch {
   EventLoop& loop_;
   SwitchConfig config_;
   std::vector<Port> ports_;
-  std::map<std::uint32_t, std::vector<std::size_t>> routes_;
+  FlatMap<std::uint32_t, std::vector<std::size_t>> routes_;
   std::vector<std::size_t> default_route_;
   Stats stats_;
 };

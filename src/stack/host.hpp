@@ -12,9 +12,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
+#include <memory>
+#include <utility>
 #include <vector>
 
+#include "common/flat_map.hpp"
 #include "netsim/event.hpp"
 #include "netsim/nic.hpp"
 #include "netsim/packet.hpp"
@@ -22,6 +24,20 @@
 #include "stack/core.hpp"
 #include "stack/cost_model.hpp"
 #include "stack/flow_context_manager.hpp"
+
+namespace smt::stack {
+
+/// Host demux key: (protocol, local port).
+using EndpointKey = std::pair<sim::Proto, std::uint16_t>;
+
+}  // namespace smt::stack
+
+template <>
+struct smt::FlatHash<smt::stack::EndpointKey> {
+  std::uint64_t operator()(const stack::EndpointKey& key) const noexcept {
+    return mix_seed(std::uint64_t(key.first), key.second);
+  }
+};
 
 namespace smt::stack {
 
@@ -277,7 +293,8 @@ class Host {
   using Endpoint = std::function<void(sim::Packet)>;
 
   void register_endpoint(sim::Proto proto, std::uint16_t port, Endpoint ep) {
-    endpoints_[{proto, port}] = std::move(ep);
+    *endpoints_.try_emplace({proto, port}).first =
+        std::make_unique<Endpoint>(std::move(ep));
   }
   void unregister_endpoint(sim::Proto proto, std::uint16_t port) {
     endpoints_.erase({proto, port});
@@ -305,9 +322,9 @@ class Host {
   }
 
   void demux(sim::Packet pkt) {
-    const auto key = std::make_pair(pkt.hdr.flow.proto, pkt.hdr.flow.dst_port);
-    const auto it = endpoints_.find(key);
-    if (it != endpoints_.end()) it->second(std::move(pkt));
+    const auto* ep =
+        endpoints_.find({pkt.hdr.flow.proto, pkt.hdr.flow.dst_port});
+    if (ep != nullptr) (**ep)(std::move(pkt));
     // Unmatched packets are dropped, as a real host would.
   }
 
@@ -449,7 +466,9 @@ class Host {
   // is logically a query, but fair tie-breaking needs rotation state).
   mutable std::size_t least_loaded_rr_ = 0;
 
-  std::map<std::pair<sim::Proto, std::uint16_t>, Endpoint> endpoints_;
+  // Boxed so a callback that registers another endpoint (a TCP connect
+  // from a receive handler) cannot move the one that is running.
+  FlatMap<EndpointKey, std::unique_ptr<Endpoint>> endpoints_;
 };
 
 /// Adapts a CpuCore into the NIC's doorbell-charging callback for

@@ -5,8 +5,8 @@
 // on every endpoint, eliminating lookup and long-chain validation (their
 // measured C3.2 speedup: ~52 %). This module implements exactly that design
 // point: a compact binary certificate (subject, P-256 key, validity,
-// issuer, ECDSA signature) instead of full X.509 — a substitution recorded
-// in DESIGN.md.
+// issuer, ECDSA signature) instead of full X.509 — a substitution listed
+// in ARCHITECTURE.md ("Substitutions").
 #pragma once
 
 #include <cstdint>

@@ -3,9 +3,10 @@
 // The wire layout follows TLS framing — type(1) | length(3) | body — and
 // every message is fed to the transcript hash exactly as serialised. Body
 // encodings are simplified (no extension registry; the fields SMT needs
-// are first-class), a substitution documented in DESIGN.md. The PSK binder
-// is computed over the ClientHello serialised with an empty binder field,
-// mirroring RFC 8446's partial-transcript binder in structure.
+// are first-class), a substitution listed in ARCHITECTURE.md
+// ("Substitutions"). The PSK binder is computed over the ClientHello
+// serialised with an empty binder field, mirroring RFC 8446's
+// partial-transcript binder in structure.
 #pragma once
 
 #include <cstdint>

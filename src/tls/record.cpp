@@ -12,16 +12,6 @@ RecordProtection::RecordProtection(CipherSuite suite, TrafficKeys keys)
   assert(keys_.iv.size() == iv_length(suite));
 }
 
-Bytes RecordProtection::nonce_for(std::uint64_t seq) const {
-  // RFC 8446 §5.3: left-pad seq to iv length and XOR with the static IV.
-  Bytes nonce = keys_.iv;
-  for (int i = 0; i < 8; ++i) {
-    nonce[nonce.size() - 1 - std::size_t(i)] ^=
-        static_cast<std::uint8_t>(seq >> (8 * i));
-  }
-  return nonce;
-}
-
 Bytes RecordProtection::seal(std::uint64_t seq, ContentType type,
                              ByteView payload, std::size_t pad_len) const {
   assert(payload.size() + pad_len + 1 <= kMaxRecordPlaintext + 1 &&

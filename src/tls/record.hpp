@@ -11,7 +11,11 @@
 // property SMT's composite layout preserves.
 #pragma once
 
+#include <array>
+#include <cassert>
 #include <cstdint>
+#include <cstring>
+#include <tuple>
 
 #include "common/bytes.hpp"
 #include "common/result.hpp"
@@ -44,6 +48,21 @@ struct OpenedRecord {
   Bytes payload;  // with padding and content-type byte stripped
 };
 
+using RecordNonce = std::array<std::uint8_t, crypto::AesGcm::kNonceSize>;
+
+/// RFC 8446 §5.3 per-record nonce: seq left-padded to the IV length and
+/// XORed with the static IV. The software record layer and the simulated
+/// NIC offload engine both use it, so they encrypt identically.
+inline RecordNonce record_nonce(ByteView iv, std::uint64_t seq) noexcept {
+  assert(iv.size() == std::tuple_size_v<RecordNonce>);
+  RecordNonce nonce;
+  std::memcpy(nonce.data(), iv.data(), nonce.size());
+  for (std::size_t i = 0; i < 8; ++i) {
+    nonce[nonce.size() - 1 - i] ^= static_cast<std::uint8_t>(seq >> (8 * i));
+  }
+  return nonce;
+}
+
 /// Stateless sealer/opener bound to one direction's traffic keys.
 class RecordProtection {
  public:
@@ -59,9 +78,10 @@ class RecordProtection {
   /// malformed header, or empty inner plaintext.
   Result<OpenedRecord> open(std::uint64_t seq, ByteView record) const;
 
-  /// Computes the per-record nonce (exposed so the simulated NIC offload
-  /// engine encrypts exactly like the software path).
-  Bytes nonce_for(std::uint64_t seq) const;
+  /// The per-record nonce under these keys (record_nonce).
+  RecordNonce nonce_for(std::uint64_t seq) const {
+    return record_nonce(keys_.iv, seq);
+  }
 
   const TrafficKeys& keys() const noexcept { return keys_; }
   CipherSuite suite() const noexcept { return suite_; }

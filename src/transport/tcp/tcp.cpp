@@ -97,7 +97,7 @@ void TcpEndpoint::send(ConnId conn, Bytes data, stack::CpuCore* app_core,
   assert(it != connections_.end() && "send on unknown connection");
   Connection& c = it->second;
 
-  const std::uint64_t base = c.send_base + c.send_buffer.size();
+  const std::uint64_t base = c.send_end();
   for (const RecordMark& mark : records) {
     RecordBoundary boundary;
     boundary.stream_off = base + mark.offset;
@@ -124,7 +124,7 @@ void TcpEndpoint::send(ConnId conn, Bytes data, stack::CpuCore* app_core,
 }
 
 void TcpEndpoint::push(Connection& conn) {
-  const std::uint64_t stream_end = conn.send_base + conn.send_buffer.size();
+  const std::uint64_t stream_end = conn.send_end();
   while (conn.snd_nxt < stream_end) {
     const std::uint64_t in_flight = conn.snd_nxt - conn.snd_una;
     if (in_flight >= config_.window_bytes) break;
@@ -151,8 +151,7 @@ void TcpEndpoint::push(Connection& conn) {
 
 void TcpEndpoint::transmit_range(Connection& conn, std::uint64_t from,
                                  std::uint64_t to, bool is_retransmit) {
-  assert(from >= conn.send_base &&
-         to <= conn.send_base + conn.send_buffer.size());
+  assert(from >= conn.send_base && to <= conn.send_end());
 
   // RTT probe discipline (adaptive RTO): one timed range at a time. A
   // fresh transmission arms the probe; a retransmission overlapping the
@@ -174,9 +173,10 @@ void TcpEndpoint::transmit_range(Connection& conn, std::uint64_t from,
   d.segment.hdr.msg_id = from;  // 64-bit stream offset (see header note)
   d.segment.hdr.seq = static_cast<std::uint32_t>(from);
   // One copy out of the elastic send buffer into a fresh slab (the buffer
-  // erases from the front on ACKs, so it cannot be sliced in place); the
-  // slab then rides copy-free through TSO, the wire, and the RX rings.
-  const std::size_t buf_off = std::size_t(from - conn.send_base);
+  // is compacted on ACKs, so it cannot be sliced in place); the slab then
+  // rides copy-free through TSO, the wire, and the RX rings.
+  const std::size_t buf_off =
+      conn.send_consumed + std::size_t(from - conn.send_base);
   Bytes range(conn.send_buffer.begin() + std::ptrdiff_t(buf_off),
               conn.send_buffer.begin() + std::ptrdiff_t(buf_off + (to - from)));
   d.segment.payload = PayloadSlice(std::move(range));
@@ -393,10 +393,14 @@ void TcpEndpoint::handle_ack(Connection& conn, const Packet& pkt) {
     if (!conn.sent_records.empty()) {
       keep_from = std::min(keep_from, conn.sent_records.begin()->first);
     }
-    conn.send_buffer.erase(
-        conn.send_buffer.begin(),
-        conn.send_buffer.begin() + std::ptrdiff_t(keep_from - conn.send_base));
+    conn.send_consumed += std::size_t(keep_from - conn.send_base);
     conn.send_base = keep_from;
+    if (2 * conn.send_consumed > conn.send_buffer.size()) {
+      conn.send_buffer.erase(
+          conn.send_buffer.begin(),
+          conn.send_buffer.begin() + std::ptrdiff_t(conn.send_consumed));
+      conn.send_consumed = 0;
+    }
     ++conn.rto_epoch;
     conn.rto_backoff = 0;  // forward progress: back to the base RTO
     if (conn.snd_nxt > conn.snd_una) arm_rto(conn);

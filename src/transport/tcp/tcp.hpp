@@ -139,11 +139,14 @@ class TcpEndpoint {
     std::size_t flow_hash = 0;  // memoized flow.hash(): per-packet queue and
                                 // softirq-core choices never rehash the tuple
     // Send side.
-    // Stream bytes from send_base onward. send_base is snd_una, or with
-    // TLS offload the start of the oldest sent record not yet fully
-    // acked: a retransmission re-sends that record whole, so its acked
-    // prefix stays buffered.
+    // Stream bytes from send_base onward, at send_buffer[send_consumed]
+    // on. send_base is snd_una, or with TLS offload the start of the
+    // oldest sent record not yet fully acked: a retransmission re-sends
+    // that record whole, so its acked prefix stays buffered. Freed bytes
+    // stay in front of send_consumed until they pass half the buffer,
+    // so an ACK does not shift the whole buffer each time.
     Bytes send_buffer;
+    std::size_t send_consumed = 0;
     std::uint64_t send_base = 0;
     std::uint64_t snd_una = 0;  // first unacked stream offset
     std::uint64_t snd_nxt = 0;  // next stream offset to send
@@ -173,6 +176,11 @@ class TcpEndpoint {
     std::map<std::uint64_t, PayloadSlice> out_of_order;
     std::uint32_t ack_pending = 0;  // delayed-ACK counter
     bool ack_timer_armed = false;
+
+    /// Stream offset one past the last buffered byte.
+    std::uint64_t send_end() const noexcept {
+      return send_base + (send_buffer.size() - send_consumed);
+    }
   };
 
   ConnId conn_id(const sim::FiveTuple& flow) const noexcept {

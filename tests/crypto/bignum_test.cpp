@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.hpp"
 
 namespace smt::crypto {
@@ -159,6 +161,88 @@ TEST(ModArith, InvPrime) {
     EXPECT_EQ(mod_mul(U256::from_u64(a), inv, m), U256::one());
   }
 }
+
+// --- Montgomery arithmetic against the generic reference -----------------
+
+class MontgomeryTest : public ::testing::TestWithParam<const char*> {
+ protected:
+  const U256 m = U256::from_hex(GetParam());
+  const Montgomery mont{m};
+  // R mod m through the reference path: 2^256 = (2^128)^2.
+  const U256 two_128 = U256::from_hex("100000000000000000000000000000000");
+  const U256 r_mod = mod_mul(two_128, two_128, m);
+
+  /// Plain -> Montgomery form through the reference path.
+  U256 ref_to_mont(const U256& a) const { return mod_mul(a, r_mod, m); }
+
+  /// 0, 1, m-1, m-2 and seeded random values below m.
+  std::vector<U256> operands() const {
+    U256 m1, m2;
+    u256_sub(m, U256::one(), m1);
+    u256_sub(m, U256::from_u64(2), m2);
+    std::vector<U256> out = {U256::zero(), U256::one(), m1, m2};
+    Rng rng(42);
+    for (int i = 0; i < 40; ++i) {
+      U256 a;
+      for (auto& l : a.limbs) l = rng.next();
+      U512 wide{};
+      for (std::size_t j = 0; j < 4; ++j) wide.limbs[j] = a.limbs[j];
+      out.push_back(u512_mod(wide, m));
+    }
+    return out;
+  }
+};
+
+TEST_P(MontgomeryTest, ConversionsRoundTrip) {
+  EXPECT_EQ(mont.modulus(), m);
+  EXPECT_EQ(mont.one(), r_mod);
+  for (const U256& a : operands()) {
+    EXPECT_EQ(mont.to_mont(a), ref_to_mont(a));
+    EXPECT_EQ(mont.from_mont(mont.to_mont(a)), a);
+  }
+  // Any U256 is below 2m; reduce and to_mont accept it.
+  const U256 max = U256::from_hex(
+      "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff");
+  U512 wide{};
+  for (std::size_t j = 0; j < 4; ++j) wide.limbs[j] = max.limbs[j];
+  EXPECT_EQ(mont.reduce(max), u512_mod(wide, m));
+  EXPECT_EQ(mont.to_mont(max), ref_to_mont(u512_mod(wide, m)));
+}
+
+TEST_P(MontgomeryTest, MulSqrAddSubMatchReference) {
+  const std::vector<U256> ops = operands();
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const U256& a = ops[i];
+    const U256& b = ops[(i * 7 + 1) % ops.size()];
+    const U256 am = mont.to_mont(a);
+    const U256 bm = mont.to_mont(b);
+    EXPECT_EQ(mont.mul(am, bm), ref_to_mont(mod_mul(a, b, m))) << i;
+    EXPECT_EQ(mont.mul(am, b), mod_mul(a, b, m)) << i;  // mixed form: plain
+    EXPECT_EQ(mont.sqr(am), ref_to_mont(mod_mul(a, a, m))) << i;
+    EXPECT_EQ(mont.add(a, b), mod_add(a, b, m)) << i;
+    EXPECT_EQ(mont.sub(a, b), mod_sub(a, b, m)) << i;
+  }
+}
+
+TEST_P(MontgomeryTest, InverseMatchesReference) {
+  const std::vector<U256> ops = operands();
+  for (std::size_t i = 0; i < ops.size(); i += 4) {
+    const U256& a = ops[i];
+    const U256 inv = mont.from_mont(mont.inv(mont.to_mont(a)));
+    EXPECT_EQ(inv, mod_inv_prime(a, m)) << i;
+    if (!a.is_zero()) {
+      EXPECT_EQ(mod_mul(a, inv, m), U256::one()) << i;
+    }
+  }
+  EXPECT_TRUE(mont.inv(U256::zero()).is_zero());
+}
+
+// The P-256 field prime p and group order n.
+INSTANTIATE_TEST_SUITE_P(
+    P256, MontgomeryTest,
+    ::testing::Values(
+        "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff",
+        "ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551"));
 
 }  // namespace
 }  // namespace smt::crypto

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.hpp"
 #include "crypto/drbg.hpp"
 
@@ -85,14 +87,10 @@ TEST(P256, FieldInverse) {
 
 TEST(P256, FieldReduceIdentities) {
   // Reducing p itself gives zero; reducing p+1 gives one.
-  U512 wide{};
-  for (int i = 0; i < 4; ++i) wide.limbs[std::size_t(i)] = P256::p().limbs[std::size_t(i)];
-  EXPECT_TRUE(fp_reduce(wide).is_zero());
+  EXPECT_TRUE(fp_mul(P256::p(), U256::one()).is_zero());
   U256 p_plus_1;
   u256_add(P256::p(), U256::one(), p_plus_1);  // p < 2^256 - 1, no overflow
-  for (int i = 0; i < 4; ++i)
-    wide.limbs[std::size_t(i)] = p_plus_1.limbs[std::size_t(i)];
-  EXPECT_EQ(fp_reduce(wide), U256::one());
+  EXPECT_EQ(fp_mul(p_plus_1, U256::one()), U256::one());
 }
 
 TEST(P256, FieldReduceMatchesSlowPath) {
@@ -102,8 +100,102 @@ TEST(P256, FieldReduceMatchesSlowPath) {
     for (auto& l : a.limbs) l = rng.next();
     for (auto& l : b.limbs) l = rng.next();
     const U512 prod = u256_mul(a, b);
-    EXPECT_EQ(fp_reduce(prod), u512_mod(prod, P256::p())) << "iteration " << i;
+    EXPECT_EQ(fp_mul(a, b), u512_mod(prod, P256::p())) << "iteration " << i;
   }
+}
+
+// --- Scalar multiplication against a plain reference --------------------
+
+// Affine double-and-add written only with the public fp_* field functions:
+// no table, no window, no Jacobian coordinates.
+AffinePoint ref_add(const AffinePoint& a, const AffinePoint& b) {
+  if (a.infinity) return b;
+  if (b.infinity) return a;
+  U256 lambda;
+  if (a.x == b.x) {
+    if (a.y != b.y || a.y.is_zero()) return AffinePoint::at_infinity();
+    // lambda = (3x^2 - 3) / 2y
+    const U256 x2 = fp_sqr(a.x);
+    const U256 num = fp_sub(fp_add(fp_add(x2, x2), x2), U256::from_u64(3));
+    lambda = fp_mul(num, fp_inv(fp_add(a.y, a.y)));
+  } else {
+    lambda = fp_mul(fp_sub(b.y, a.y), fp_inv(fp_sub(b.x, a.x)));
+  }
+  AffinePoint out;
+  out.x = fp_sub(fp_sub(fp_sqr(lambda), a.x), b.x);
+  out.y = fp_sub(fp_mul(lambda, fp_sub(a.x, out.x)), a.y);
+  return out;
+}
+
+AffinePoint ref_mul(const U256& k, const AffinePoint& pt) {
+  AffinePoint acc = AffinePoint::at_infinity();
+  for (int i = k.top_bit(); i >= 0; --i) {
+    acc = ref_add(acc, acc);
+    if (k.bit(i)) acc = ref_add(acc, pt);
+  }
+  return acc;
+}
+
+// Edge scalars (0, 1, n-1, n, n+1, all ones, zero windows) plus seeded
+// random ones.
+std::vector<U256> test_scalars() {
+  const U256& n = P256::n();
+  U256 n_minus_1, n_plus_1;
+  u256_sub(n, U256::one(), n_minus_1);
+  u256_add(n, U256::one(), n_plus_1);
+  std::vector<U256> out = {
+      U256::zero(), U256::one(), U256::from_u64(15), U256::from_u64(16),
+      n_minus_1, n, n_plus_1,
+      U256::from_hex(
+          "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff"),
+      U256::from_hex(
+          "f000000000000000000000000000000f00000000000000000000000000000001")};
+  Rng rng(11);
+  for (int i = 0; i < 6; ++i) {
+    U256 k;
+    for (auto& l : k.limbs) l = rng.next();
+    out.push_back(k);
+  }
+  return out;
+}
+
+const AffinePoint& g_point() {
+  static const AffinePoint g{P256::gx(), P256::gy(), false};
+  return g;
+}
+
+TEST(P256, FixedBaseMatchesDoubleAndAdd) {
+  for (const U256& k : test_scalars()) {
+    EXPECT_EQ(scalar_mul_base(k), ref_mul(k, g_point()))
+        << to_hex(k.to_bytes());
+  }
+}
+
+TEST(P256, WindowedMatchesDoubleAndAdd) {
+  const AffinePoint q = ref_mul(U256::from_u64(0x1234567), g_point());
+  for (const U256& k : test_scalars()) {
+    EXPECT_EQ(scalar_mul(k, q), ref_mul(k, q)) << to_hex(k.to_bytes());
+  }
+}
+
+TEST(P256, JointMatchesDoubleAndAdd) {
+  const AffinePoint q = ref_mul(U256::from_u64(0xabcdef), g_point());
+  const std::vector<U256> scalars = test_scalars();
+  for (std::size_t i = 0; i < scalars.size(); ++i) {
+    const U256& u1 = scalars[i];
+    const U256& u2 = scalars[(i * 5 + 3) % scalars.size()];
+    EXPECT_EQ(scalar_mul_base_add(u1, u2, q),
+              ref_add(ref_mul(u1, g_point()), ref_mul(u2, q)))
+        << i;
+  }
+  // u1*G + u2*G with u1 + u2 = n cancels to infinity.
+  const U256 u1 = U256::from_u64(12345);
+  U256 u2;
+  u256_sub(P256::n(), u1, u2);
+  EXPECT_TRUE(scalar_mul_base_add(u1, u2, g_point()).infinity);
+  // u1 = u2 with Q = G doubles inside the addition.
+  EXPECT_EQ(scalar_mul_base_add(u1, u1, g_point()),
+            ref_mul(U256::from_u64(2 * 12345), g_point()));
 }
 
 TEST(P256, EncodeDecodeRoundTrip) {

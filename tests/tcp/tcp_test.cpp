@@ -464,5 +464,99 @@ TEST_F(TcpTest, TlsOffloadRtoAfterPartialAckResendsWholeRecord) {
   EXPECT_EQ(client_.unacked_bytes(conn), 0u);
 }
 
+// Two records in one send: a first one that is fully acked, then a
+// 3-packet one whose last packet is lost. The ACK that frees the first
+// record also partially acks the second. The parameter is the first
+// record's body length:
+// - 9000: the freed prefix passes half the send buffer, so the buffer is
+//   compacted while the second record waits for its RTO;
+// - 1000: the freed prefix stays in front of the consumed offset, and the
+//   retransmission reads behind it.
+// Either way the retransmission must carry exactly the second record's
+// bytes from its start.
+class TcpFreedPrefixTest : public TcpTest,
+                           public ::testing::WithParamInterface<std::size_t> {};
+
+TEST_P(TcpFreedPrefixTest, TlsOffloadRtoResendsWholeRecord) {
+  tls::TrafficKeys keys;
+  keys.key = Bytes(16, 0x61);
+  keys.iv = Bytes(12, 0x62);
+  const auto conn = client_.connect(2, 80);
+  ASSERT_TRUE(client_
+                  .enable_tls_offload(conn, tls::CipherSuite::aes_128_gcm_sha256,
+                                      keys, 0)
+                  .ok());
+
+  const auto record = [](std::size_t body_len, std::uint8_t salt) {
+    Bytes body(body_len);
+    for (std::size_t i = 0; i < body.size(); ++i)
+      body[i] = std::uint8_t(i * 7 + salt);
+    Bytes wire;
+    append_u8(wire, 23);
+    append_u16be(wire, 0x0303);
+    append_u16be(wire, std::uint16_t(body.size() + 1 + 16));
+    append(wire, body);
+    append_u8(wire, 23);
+    wire.resize(wire.size() + 16, 0);
+    return std::make_pair(body, wire);
+  };
+  const auto [body0, wire0] = record(GetParam(), 1);
+  const auto [body1, wire1] = record(4000, 2);
+  const std::size_t mss = client_host_.nic().config().mtu_payload;
+  ASSERT_GT(wire1.size(), 2 * mss);
+  ASSERT_LE(wire1.size(), 3 * mss);
+
+  // Record 1's packets on the wire, in order: (stream offset, bytes).
+  const std::uint32_t start1 = std::uint32_t(wire0.size());
+  std::vector<std::pair<std::uint32_t, Bytes>> sent1;
+  bool dropped = false;
+  topology_->direct_link()->a2b().set_drop_predicate(
+      [&](const sim::Packet& pkt) {
+        if (pkt.hdr.type != sim::PacketType::data || pkt.hdr.seq < start1)
+          return false;
+        sent1.emplace_back(pkt.hdr.seq - start1,
+                           Bytes(pkt.payload.begin(), pkt.payload.end()));
+        if (dropped || pkt.hdr.seq != start1 + 2 * mss) return false;
+        dropped = true;  // record 1's last packet, first try
+        return true;
+      });
+  Bytes wire = wire0;
+  append(wire, wire1);
+  std::vector<TcpEndpoint::RecordMark> marks;
+  marks.push_back({0, body0.size() + 1, 0});
+  marks.push_back({wire0.size(), body1.size() + 1, 1});
+  client_.send(conn, wire, nullptr, std::move(marks));
+  loop_.run();
+
+  EXPECT_TRUE(dropped);
+  EXPECT_EQ(client_.stats().rto_fires, 1u);
+  ASSERT_EQ(sent1.size(), 6u);
+  Bytes first, resent;
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(sent1[i].first, std::uint32_t(first.size()));
+    append(first, sent1[i].second);
+    EXPECT_EQ(sent1[3 + i].first, std::uint32_t(resent.size()));
+    append(resent, sent1[3 + i].second);
+  }
+  ASSERT_EQ(first.size(), wire1.size());
+  EXPECT_EQ(resent, first) << "the retransmission re-encrypted other bytes";
+
+  ASSERT_EQ(server_received_.size(), wire.size());
+  tls::RecordProtection rp(tls::CipherSuite::aes_128_gcm_sha256, keys);
+  const auto opened0 =
+      rp.open(0, ByteView(server_received_).first(wire0.size()));
+  ASSERT_TRUE(opened0.ok()) << opened0.error().message;
+  EXPECT_EQ(opened0.value().payload, body0);
+  const auto opened1 =
+      rp.open(1, ByteView(server_received_).subspan(wire0.size()));
+  ASSERT_TRUE(opened1.ok()) << opened1.error().message;
+  EXPECT_EQ(opened1.value().payload, body1);
+  EXPECT_EQ(client_.unacked_bytes(conn), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(FirstRecordBody, TcpFreedPrefixTest,
+                         ::testing::Values(std::size_t{9000},
+                                           std::size_t{1000}));
+
 }  // namespace
 }  // namespace smt::transport

@@ -421,5 +421,66 @@ TEST_F(EngineTest, DistinctHandshakesDistinctKeys) {
   EXPECT_NE(c1->secrets().client_keys.key, c2->secrets().client_keys.key);
 }
 
+// The handshake apps::fabric_handshake runs for every encrypted fabric,
+// replayed step by step from the same DRBG seed so the CertificateVerify
+// signature can be read off the server flight. Its key generation, ECDH, signing and
+// verification outputs are fixed by the seed, so the traffic keys and the
+// server's CertificateVerify signature are pinned byte for byte: a change
+// to the public-key arithmetic that alters any output shows up here.
+TEST(PinnedHandshake, RpcFabricSeedReproducesKeysAndSignature) {
+  crypto::HmacDrbg rng(to_bytes(std::string_view("rpc-fabric-seed")));
+  auto ca = CertificateAuthority::create("dc-root", rng);
+  const auto server_key = crypto::ecdsa_keypair_from_seed(rng.generate(32));
+  CertChain chain;
+  chain.certs.push_back(ca.issue(
+      "server", crypto::encode_point(server_key.public_key), 0, 1u << 30));
+
+  ClientConfig cc;
+  cc.server_name = "server";
+  cc.trusted_ca = ca.public_key();
+  cc.now = 100;
+  ServerConfig sc;
+  sc.chain = chain;
+  sc.sig_key = server_key;
+  sc.trusted_ca = ca.public_key();
+  sc.now = 100;
+
+  ClientHandshake client_hs(cc, rng);
+  ServerHandshake server_hs(sc, rng);
+  auto f1 = client_hs.start();
+  ASSERT_TRUE(f1.ok());
+  auto sf = server_hs.on_client_flight(f1.value());
+  ASSERT_TRUE(sf.ok());
+  auto f2 = client_hs.on_server_flight(sf.value());
+  ASSERT_TRUE(f2.ok());
+  ASSERT_TRUE(server_hs.on_client_finished(f2.value()).ok());
+
+  const auto messages = split_flight(sf.value());
+  ASSERT_TRUE(messages.has_value());
+  Bytes cv_signature;
+  for (const auto& msg : *messages) {
+    if (msg.type != HandshakeType::certificate_verify) continue;
+    const auto cv = CertificateVerify::parse(msg.body);
+    ASSERT_TRUE(cv.has_value());
+    cv_signature = cv->signature;
+  }
+
+  const SessionSecrets& secrets = client_hs.secrets();
+  EXPECT_EQ(secrets.client_keys, server_hs.secrets().client_keys);
+  EXPECT_EQ(secrets.server_keys, server_hs.secrets().server_keys);
+  EXPECT_EQ(to_hex(secrets.client_keys.key),
+            "5d6e9daa9577c8f731e52c766cc65981");
+  EXPECT_EQ(to_hex(secrets.client_keys.iv), "f1ee957a66cfd01ee4466d2c");
+  EXPECT_EQ(to_hex(secrets.server_keys.key),
+            "d98966348b1da4f07e770e728631fdc7");
+  EXPECT_EQ(to_hex(secrets.server_keys.iv), "337f8994eea52b6413549323");
+  EXPECT_EQ(to_hex(cv_signature),
+            "b810421f03086251c5bcf77613cf567fd75003c2f78f257c498b30b7d25f8086"
+            "4b247bcb67ee2e2e7cd3af0b3ebada9cb63a162873d77406743769f602842e57");
+  EXPECT_EQ(to_hex(chain.certs[0].signature),
+            "c51a1846d6633e6e990b01b5bd70069c878f7c3d8894891fbb555c0bc2029712"
+            "d99bfb87511c644694407429f6a9708d8678e81c87da13fcaf039237ad62018f");
+}
+
 }  // namespace
 }  // namespace smt::tls

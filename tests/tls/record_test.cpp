@@ -48,9 +48,9 @@ TEST(Record, CompositeSequenceNumbersAreDistinct) {
 
 TEST(Record, NonceXorLayout) {
   const RecordProtection rp = make_protection();
-  const Bytes n0 = rp.nonce_for(0);
-  EXPECT_EQ(n0, Bytes(12, 0x22));  // seq 0 leaves the IV untouched
-  const Bytes n1 = rp.nonce_for(1);
+  const RecordNonce n0 = rp.nonce_for(0);
+  EXPECT_EQ(Bytes(n0.begin(), n0.end()), Bytes(12, 0x22));  // seq 0: the IV
+  const RecordNonce n1 = rp.nonce_for(1);
   EXPECT_EQ(n1.back(), 0x22 ^ 0x01);
   EXPECT_TRUE(std::equal(n0.begin(), n0.end() - 1, n1.begin()));
 }

@@ -76,14 +76,16 @@ class BenchCompareTest(unittest.TestCase):
         results = baseline_results()
         results["bench_simperf.json"]["events_per_sec"] *= 0.5
         results["bench_simperf.json"]["allocs_per_rpc"] *= 1.2
+        results["bench_simperf.json"]["handshake_us"] *= 5
         results["bench_incast.json"]["incast_drops"] += 1
         results["bench_adversity.json"]["adversity_completed_total"] -= 1
         results["bench_adversity.json"]["corefault_dark_transitions"] += 1
         code, out, _ = self.run_compare(results)
         self.assertEqual(code, 0, out)
         self.assertNotIn("::error", out)
-        self.assertEqual(out.count("::warning title=perf-smoke::"), 5, out)
+        self.assertEqual(out.count("::warning title=perf-smoke::"), 6, out)
         self.assertIn("events/sec", out)
+        self.assertIn("TLS handshake us", out)
         self.assertIn("allocs per RPC", out)
         self.assertIn("incast_drops 5->6", out)
         with open(BASELINE) as f:
