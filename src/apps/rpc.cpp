@@ -36,12 +36,18 @@ std::optional<Bytes> extract_frame(Bytes& buffer) {
   return message;
 }
 
-/// The constructor form cannot return a Result; a configuration error is
-/// still reported with its full message rather than a bare assert.
-[[noreturn]] void fail_config(const Status& st) {
-  std::fprintf(stderr, "RpcFabric configuration error: %s\n",
-               st.message().c_str());
+/// Construction cannot return a Result, and a Release build drops asserts:
+/// a failed set-up step aborts, naming the step and the error.
+void require(const Status& st, const char* step) {
+  if (st.ok()) return;
+  std::fprintf(stderr, "RpcFabric %s error: %s\n", step, st.message().c_str());
   std::abort();
+}
+
+template <typename T>
+T require(Result<T> result, const char* step) {
+  if (!result.ok()) require(Status(result.error()), step);
+  return std::move(result).take();
 }
 
 }  // namespace
@@ -131,119 +137,75 @@ stack::ScenarioConfig to_scenario(const RpcFabricConfig& config) {
   return scen;
 }
 
-RpcFabric::RpcFabric(RpcFabricConfig config, Unbuilt)
-    : config_(std::move(config)) {
-  handler_ = [](ByteView) { return RpcReply{}; };
-}
-
 RpcFabric::RpcFabric(RpcFabricConfig config)
-    : RpcFabric(std::move(config), Unbuilt{}) {
-  const Status st = init_two_host(nullptr, 0, 0);
-  if (!st.ok()) fail_config(st);
-  establish_keys();
-  setup_transports();
+    : config_(std::move(config)),
+      owned_topology_(build_two_host(config_, loop_, nullptr, 0, 0)) {
+  init(*owned_topology_, 1, {0});
 }
 
 RpcFabric::RpcFabric(RpcFabricConfig config, sim::ShardedEngine& engine,
                      std::size_t client_shard, std::size_t server_shard)
-    : RpcFabric(std::move(config), Unbuilt{}) {
-  const Status st = init_two_host(&engine, client_shard, server_shard);
-  if (!st.ok()) fail_config(st);
-  establish_keys();
-  setup_transports();
+    : config_(std::move(config)),
+      owned_topology_(build_two_host(config_, loop_, &engine, client_shard,
+                                     server_shard)) {
+  init(*owned_topology_, 1, {0});
 }
 
 RpcFabric::RpcFabric(RpcFabricConfig config, stack::Topology& topology,
                      std::size_t server_index,
                      std::vector<std::size_t> client_indices)
-    : RpcFabric(std::move(config), Unbuilt{}) {
-  const Status st =
-      init_topology(topology, server_index, std::move(client_indices));
-  if (!st.ok()) fail_config(st);
-  establish_keys();
-  setup_transports();
-}
-
-Result<std::unique_ptr<RpcFabric>> RpcFabric::create(RpcFabricConfig config) {
-  std::unique_ptr<RpcFabric> fabric(
-      new RpcFabric(std::move(config), Unbuilt{}));
-  const Status st = fabric->init_two_host(nullptr, 0, 0);
-  if (!st.ok()) return st.error();
-  fabric->establish_keys();
-  fabric->setup_transports();
-  return fabric;
-}
-
-Result<std::unique_ptr<RpcFabric>> RpcFabric::create(
-    RpcFabricConfig config, sim::ShardedEngine& engine,
-    std::size_t client_shard, std::size_t server_shard) {
-  std::unique_ptr<RpcFabric> fabric(
-      new RpcFabric(std::move(config), Unbuilt{}));
-  const Status st =
-      fabric->init_two_host(&engine, client_shard, server_shard);
-  if (!st.ok()) return st.error();
-  fabric->establish_keys();
-  fabric->setup_transports();
-  return fabric;
+    : config_(std::move(config)) {
+  init(topology, server_index, client_indices);
 }
 
 RpcFabric::~RpcFabric() = default;
 
-namespace {
-transport::HomaEndpoint::TableAudit audit_of(
-    const transport::HomaEndpoint* homa, const proto::SmtEndpoint* smt) {
+transport::HomaEndpoint::TableAudit RpcFabric::Node::table_audit() const {
   if (smt != nullptr) return smt->table_audit();
   if (homa != nullptr) return homa->table_audit();
   return {};
 }
-}  // namespace
 
 transport::HomaEndpoint::TableAudit RpcFabric::server_table_audit() const {
-  return audit_of(homa_server_.get(), smt_server_.get());
+  return server_.table_audit();
 }
 
 transport::HomaEndpoint::TableAudit RpcFabric::client_table_audit(
     std::size_t i) const {
-  const ClientNode& node = clients_.at(i);
-  return audit_of(node.homa.get(), node.smt.get());
+  return clients_.at(i).table_audit();
 }
 
-Status RpcFabric::init_two_host(sim::ShardedEngine* engine,
-                                std::size_t client_shard,
-                                std::size_t server_shard) {
+std::unique_ptr<stack::Topology> RpcFabric::build_two_host(
+    const RpcFabricConfig& config, sim::EventLoop& loop,
+    sim::ShardedEngine* engine, std::size_t client_shard,
+    std::size_t server_shard) {
   // The classic two-host testbed is the builder's degenerate direct
   // topology: host 0 = client (ip 1), host 1 = server (ip 2). One knob
   // mapping (to_scenario / host_config_of) and one validation path.
-  stack::TopologyBuilder builder(to_scenario(config_));
-  builder.host_config(0, host_config_of(config_, config_.client_app_cores));
-  builder.host_config(1, host_config_of(config_, config_.server_app_cores));
-  if (config_.irq_rebalance_period > 0) {
-    builder.irq_rebalance_period(config_.irq_rebalance_period);
+  stack::TopologyBuilder builder(to_scenario(config));
+  builder.host_config(0, host_config_of(config, config.client_app_cores));
+  builder.host_config(1, host_config_of(config, config.server_app_cores));
+  if (config.irq_rebalance_period > 0) {
+    builder.irq_rebalance_period(config.irq_rebalance_period);
   }
-  Result<std::unique_ptr<stack::Topology>> built = [&] {
-    if (engine != nullptr) {
-      builder.host_shard(0, client_shard).host_shard(1, server_shard);
-      return builder.build(*engine);
-    }
-    return builder.build(loop_);
-  }();
-  if (!built.ok()) return built.error();
-  owned_topology_ = std::move(built).take();
-  topology_ = owned_topology_.get();
-
-  clients_.resize(1);
-  clients_[0].host = &topology_->host(0);
-  clients_[0].ip = topology_->ip_of(0);
-  server_host_ = &topology_->host(1);
-  server_ip_ = topology_->ip_of(1);
-  client_loop_ = &topology_->loop_of(0);
-  server_loop_ = &topology_->loop_of(1);
-  return Status::success();
+  if (engine == nullptr) return require(builder.build(loop), "configuration");
+  builder.host_shard(0, client_shard).host_shard(1, server_shard);
+  return require(builder.build(*engine), "configuration");
 }
 
-Status RpcFabric::init_topology(stack::Topology& topology,
-                                std::size_t server_index,
-                                std::vector<std::size_t> client_indices) {
+void RpcFabric::init(stack::Topology& topology, std::size_t server_index,
+                     const std::vector<std::size_t>& client_indices) {
+  require(init_topology(topology, server_index, client_indices),
+          "configuration");
+  establish_keys();
+  // The server's endpoint first, then the clients' in index order.
+  build_endpoint(server_);
+  for (Node& client : clients_) build_endpoint(client);
+}
+
+Status RpcFabric::init_topology(
+    stack::Topology& topology, std::size_t server_index,
+    const std::vector<std::size_t>& client_indices) {
   if (client_indices.empty()) {
     return make_error(Errc::invalid_argument,
                       "rpc: at least one client host is required");
@@ -272,16 +234,13 @@ Status RpcFabric::init_topology(stack::Topology& topology,
     }
   }
 
-  topology_ = &topology;
-  server_host_ = &topology.host(server_index);
-  server_ip_ = topology.ip_of(server_index);
-  server_loop_ = &topology.loop_of(server_index);
+  server_.host = &topology.host(server_index);
+  server_.addr = {topology.ip_of(server_index), kServerPort};
   clients_.resize(client_indices.size());
   for (std::size_t i = 0; i < client_indices.size(); ++i) {
     clients_[i].host = &topology.host(client_indices[i]);
-    clients_[i].ip = topology.ip_of(client_indices[i]);
+    clients_[i].addr = {topology.ip_of(client_indices[i]), kClientPort};
   }
-  client_loop_ = &clients_[0].host->loop();
   return Status::success();
 }
 
@@ -305,15 +264,13 @@ tls::SessionSecrets fabric_handshake() {
 
   tls::ClientHandshake client_hs(cc, rng);
   tls::ServerHandshake server_hs(sc, rng);
-  auto f1 = client_hs.start();
-  assert(f1.ok());
-  auto sf = server_hs.on_client_flight(f1.value());
-  assert(sf.ok());
-  auto f2 = client_hs.on_server_flight(sf.value());
-  assert(f2.ok());
-  const Status done = server_hs.on_client_finished(f2.value());
-  assert(done.ok());
-  (void)done;
+  const Bytes f1 = require(client_hs.start(), "handshake (ClientHello)");
+  const Bytes sf = require(server_hs.on_client_flight(f1),
+                           "handshake (server flight)");
+  const Bytes f2 = require(client_hs.on_server_flight(sf),
+                           "handshake (client Finished)");
+  require(server_hs.on_client_finished(f2),
+          "handshake (server Finished check)");
   return client_hs.secrets();
 }
 
@@ -328,28 +285,44 @@ void RpcFabric::establish_keys() {
   server_tx_keys_ = secrets.server_keys;
 }
 
-void RpcFabric::setup_transports() {
+void RpcFabric::build_endpoint(Node& node) {
+  const bool server = &node == &server_;
   // Without TSO the NIC takes only MTU-sized segments (§7 Segmentation).
   const std::size_t max_tso =
       config_.tso_enabled ? std::size_t{65536} : config_.mtu_payload;
+  // The server reassembles and answers requests; a client hands stream
+  // bytes to the connection's channel and routes a response message by its
+  // correlation prefix.
+  auto on_stream = [this, &node](std::uint64_t conn, Bytes data) {
+    if (&node == &server_) return on_server_stream_data(conn, std::move(data));
+    const auto it = node.stream_channels.find(conn);
+    if (it != node.stream_channels.end()) {
+      it->second->on_stream_data(std::move(data));
+    }
+  };
+  auto on_message = [this, &node](const auto& meta, Bytes data) {
+    if (&node == &server_) return on_server_message(meta.peer, std::move(data));
+    on_client_message(std::move(data));
+  };
 
-  // Server-side endpoint.
   switch (config_.kind) {
     case TransportKind::tcp: {
       transport::TcpConfig tc;
       tc.max_tso_bytes = max_tso;
-      tcp_server_ = std::make_unique<transport::TcpEndpoint>(*server_host_,
-                                                             kServerPort, tc);
-      tcp_server_->set_on_data([this](std::uint64_t conn, Bytes data) {
-        on_server_stream_data(conn, std::move(data));
-      });
+      node.tcp = std::make_unique<transport::TcpEndpoint>(*node.host,
+                                                          node.addr.port, tc);
+      node.tcp->set_on_data(on_stream);
       break;
     }
     case TransportKind::ktls_sw:
     case TransportKind::ktls_hw:
     case TransportKind::tcpls: {
       baselines::KtlsConfig kc;
-      kc.hw_offload = false;  // rx side is software anyway
+      // The server never offloads TX: a kTLS-hw server seals every response
+      // in software and only client requests use NIC inline crypto. fig6,
+      // fig7 and the CPU-usage bench are calibrated on that split;
+      // offloading server TX would rebaseline them.
+      kc.hw_offload = !server && config_.kind == TransportKind::ktls_hw;
       kc.tcp.max_tso_bytes = max_tso;
       if (!config_.tso_enabled) {
         kc.max_record_payload =
@@ -358,28 +331,26 @@ void RpcFabric::setup_transports() {
       if (config_.kind == TransportKind::tcpls) {
         kc.extra_record_cost = nsec(900);
       }
-      ktls_server_ = std::make_unique<baselines::KtlsEndpoint>(
-          *server_host_, kServerPort, kc);
-      ktls_server_->set_on_accept([this](std::uint64_t conn) {
-        const Status st = ktls_server_->register_session(
-            conn, suite_, server_tx_keys_, client_tx_keys_);
-        assert(st.ok());
-        (void)st;
-      });
-      ktls_server_->set_on_data([this](std::uint64_t conn, Bytes data) {
-        on_server_stream_data(conn, std::move(data));
-      });
+      node.ktls = std::make_unique<baselines::KtlsEndpoint>(
+          *node.host, node.addr.port, kc);
+      // A client registers its session when a channel connects; the
+      // server registers each connection it accepts.
+      if (server) {
+        node.ktls->set_on_accept([this](std::uint64_t conn) {
+          require(server_.ktls->register_session(conn, suite_, server_tx_keys_,
+                                                 client_tx_keys_),
+                  "server kTLS session");
+        });
+      }
+      node.ktls->set_on_data(on_stream);
       break;
     }
     case TransportKind::homa: {
       transport::HomaConfig hc;
       hc.max_tso_bytes = max_tso;
-      homa_server_ = std::make_unique<transport::HomaEndpoint>(
-          *server_host_, kServerPort, hc);
-      homa_server_->set_on_message(
-          [this](transport::HomaEndpoint::MessageMeta meta, Bytes data) {
-            on_server_message(meta.peer, meta.peer.port, std::move(data));
-          });
+      node.homa = std::make_unique<transport::HomaEndpoint>(
+          *node.host, node.addr.port, hc);
+      node.homa->set_on_message(on_message);
       break;
     }
     case TransportKind::smt_sw:
@@ -393,107 +364,52 @@ void RpcFabric::setup_transports() {
         pc.max_record_payload =
             config_.mtu_payload - proto::record_block_overhead();
       }
-      smt_server_ =
-          std::make_unique<proto::SmtEndpoint>(*server_host_, kServerPort, pc);
-      smt_server_->set_on_message(
-          [this](proto::SmtEndpoint::MessageMeta meta, Bytes data) {
-            on_server_message(meta.peer, meta.peer.port, std::move(data));
-          });
+      node.smt = std::make_unique<proto::SmtEndpoint>(*node.host,
+                                                      node.addr.port, pc);
+      // Every session uses the one handshake's keys: the client's, then
+      // the server's session for this client.
+      if (!server) {
+        require(node.smt->register_session(server_.addr, suite_,
+                                           client_tx_keys_, server_tx_keys_),
+                "client SMT session");
+        require(server_.smt->register_session(node.addr, suite_,
+                                              server_tx_keys_, client_tx_keys_),
+                "server SMT session");
+      }
+      node.smt->set_on_message(on_message);
       break;
-    }
-  }
-
-  // Client-side endpoints: one per client host. The same handshake's keys
-  // back every session (the benches run over established sessions).
-  for (std::size_t i = 0; i < clients_.size(); ++i) {
-    ClientNode& node = clients_[i];
-    switch (config_.kind) {
-      case TransportKind::tcp: {
-        transport::TcpConfig tc;
-        tc.max_tso_bytes = max_tso;
-        node.tcp = std::make_unique<transport::TcpEndpoint>(*node.host,
-                                                            kClientPort, tc);
-        node.tcp->set_on_data([this, i](std::uint64_t conn, Bytes data) {
-          auto& channels = clients_[i].stream_channels;
-          const auto it = channels.find(conn);
-          if (it != channels.end()) it->second->on_stream_data(std::move(data));
-        });
-        break;
-      }
-      case TransportKind::ktls_sw:
-      case TransportKind::ktls_hw:
-      case TransportKind::tcpls: {
-        baselines::KtlsConfig kc;
-        kc.hw_offload = config_.kind == TransportKind::ktls_hw;
-        kc.tcp.max_tso_bytes = max_tso;
-        if (!config_.tso_enabled) {
-          kc.max_record_payload =
-              config_.mtu_payload - tls::record_overhead(suite_);
-        }
-        if (config_.kind == TransportKind::tcpls) {
-          kc.extra_record_cost = nsec(900);
-        }
-        node.ktls = std::make_unique<baselines::KtlsEndpoint>(*node.host,
-                                                              kClientPort, kc);
-        node.ktls->set_on_data([this, i](std::uint64_t conn, Bytes data) {
-          auto& channels = clients_[i].stream_channels;
-          const auto it = channels.find(conn);
-          if (it != channels.end()) it->second->on_stream_data(std::move(data));
-        });
-        break;
-      }
-      case TransportKind::homa: {
-        transport::HomaConfig hc;
-        hc.max_tso_bytes = max_tso;
-        node.homa = std::make_unique<transport::HomaEndpoint>(*node.host,
-                                                              kClientPort, hc);
-        node.homa->set_on_message(
-            [this](transport::HomaEndpoint::MessageMeta, Bytes data) {
-              if (data.size() < 8) return;
-              const std::uint64_t corr = load_u64be(data.data());
-              if (RpcChannel* const* channel = channels_.find(corr >> 32)) {
-                (*channel)->on_response(std::move(data));
-              }
-            });
-        break;
-      }
-      case TransportKind::smt_sw:
-      case TransportKind::smt_hw: {
-        proto::SmtConfig pc;
-        pc.hw_offload = config_.kind == TransportKind::smt_hw;
-        pc.homa.max_tso_bytes = max_tso;
-        if (!config_.tso_enabled) {
-          pc.max_record_payload =
-              config_.mtu_payload - proto::record_block_overhead();
-        }
-        node.smt =
-            std::make_unique<proto::SmtEndpoint>(*node.host, kClientPort, pc);
-        Status st = node.smt->register_session(
-            transport::PeerAddr{server_ip_, kServerPort}, suite_,
-            client_tx_keys_, server_tx_keys_);
-        assert(st.ok());
-        st = smt_server_->register_session(
-            transport::PeerAddr{node.ip, kClientPort}, suite_,
-            server_tx_keys_, client_tx_keys_);
-        assert(st.ok());
-        (void)st;
-        node.smt->set_on_message(
-            [this](proto::SmtEndpoint::MessageMeta, Bytes data) {
-              if (data.size() < 8) return;
-              const std::uint64_t corr = load_u64be(data.data());
-              if (RpcChannel* const* channel = channels_.find(corr >> 32)) {
-                (*channel)->on_response(std::move(data));
-              }
-            });
-        break;
-      }
     }
   }
 }
 
+void RpcFabric::Node::send_stream(std::uint64_t conn, Bytes framed,
+                                  stack::CpuCore& core) {
+  if (tcp != nullptr) return tcp->send(conn, std::move(framed), &core);
+  const Status st = ktls->send(conn, std::move(framed), &core);
+  assert(st.ok());
+  (void)st;
+}
+
+void RpcFabric::Node::send_message(transport::PeerAddr dst, Bytes message,
+                                   stack::CpuCore& core) {
+  const bool sent =
+      homa != nullptr ? homa->send_message(dst, std::move(message), &core).ok()
+                      : smt->send_message(dst, std::move(message), &core).ok();
+  assert(sent);
+  (void)sent;
+}
+
+void RpcFabric::on_client_message(Bytes message) {
+  if (message.size() < 8) return;
+  const std::uint64_t corr = load_u64be(message.data());
+  if (RpcChannel* const* channel = channels_.find(corr >> 32)) {
+    (*channel)->on_response(std::move(message));
+  }
+}
+
 stack::CpuCore& RpcFabric::server_core_for(std::size_t hint) {
-  if (config_.single_threaded_server) return server_host_->app_core(0);
-  return server_host_->app_core(hint % server_host_->app_core_count());
+  if (config_.single_threaded_server) return server_.host->app_core(0);
+  return server_.host->app_core(hint % server_.host->app_core_count());
 }
 
 void RpcFabric::server_handle_message(ByteView message,
@@ -518,7 +434,7 @@ void RpcFabric::server_handle_message(ByteView message,
       append(response, result.payload);
     }
     stack::CpuCore& core = server_core_for(core_hint);
-    const auto& costs = server_host_->costs();
+    const auto& costs = server_.host->costs();
     // Stream transports: the application reassembles messages from the
     // bytestream itself (§5.3 — Redis keeps partial-read state for TCP
     // clients but not for Homa/SMT ones).
@@ -549,42 +465,22 @@ void RpcFabric::on_server_stream_data(std::uint64_t conn, Bytes data) {
     server_handle_message(
         *message,
         [this, conn, core_hint](Bytes response) {
-          stack::CpuCore& core = server_core_for(core_hint);
-          const Bytes framed = frame_message(response);
-          if (config_.kind == TransportKind::tcp) {
-            tcp_server_->send(conn, framed, &core);
-          } else {
-            const Status st = ktls_server_->send(conn, framed, &core);
-            assert(st.ok());
-            (void)st;
-          }
+          server_.send_stream(conn, frame_message(response),
+                              server_core_for(core_hint));
         },
         core_hint);
   }
 }
 
-void RpcFabric::on_server_message(transport::PeerAddr peer,
-                                  std::uint64_t /*client_port*/,
-                                  Bytes message) {
+void RpcFabric::on_server_message(transport::PeerAddr peer, Bytes message) {
   server_handle_message(
       message,
       [this, peer](Bytes response) {
         const std::size_t hint =
             config_.single_threaded_server
                 ? 0
-                : (next_server_core_ % server_host_->app_core_count());
-        stack::CpuCore& core = server_core_for(hint);
-        if (config_.kind == TransportKind::homa) {
-          const auto st = homa_server_->send_message(peer, std::move(response),
-                                                     &core);
-          assert(st.ok());
-          (void)st;
-        } else {
-          const auto st = smt_server_->send_message(peer, std::move(response),
-                                                    &core);
-          assert(st.ok());
-          (void)st;
-        }
+                : (next_server_core_ % server_.host->app_core_count());
+        server_.send_message(peer, std::move(response), server_core_for(hint));
       },
       next_server_core_++);
 }
@@ -610,28 +506,18 @@ RpcChannel::RpcChannel(RpcFabric& fabric, std::uint64_t channel_id,
       channel_id_(channel_id),
       client_(client_index),
       app_core_(app_core_index) {
-  switch (fabric_.config_.kind) {
-    case TransportKind::tcp: {
-      stream_conn_ = node().tcp->connect(fabric_.server_ip_, kServerPort);
-      node().stream_channels[stream_conn_] = this;
-      break;
-    }
-    case TransportKind::ktls_sw:
-    case TransportKind::ktls_hw:
-    case TransportKind::tcpls: {
-      stream_conn_ = node().ktls->connect(fabric_.server_ip_, kServerPort);
-      node().stream_channels[stream_conn_] = this;
-      const Status st = node().ktls->register_session(
-          stream_conn_, fabric_.suite_, fabric_.client_tx_keys_,
-          fabric_.server_tx_keys_);
-      assert(st.ok());
-      (void)st;
-      break;
-    }
-    default:
-      message_port_ = kClientPort;
-      break;
-  }
+  if (is_message_based(fabric_.config_.kind)) return;
+  RpcFabric::Node& client = node();
+  const transport::PeerAddr server = fabric_.server_.addr;
+  stream_conn_ = client.tcp != nullptr
+                     ? client.tcp->connect(server.ip, server.port)
+                     : client.ktls->connect(server.ip, server.port);
+  client.stream_channels[stream_conn_] = this;
+  if (client.ktls == nullptr) return;
+  require(client.ktls->register_session(stream_conn_, fabric_.suite_,
+                                        fabric_.client_tx_keys_,
+                                        fabric_.server_tx_keys_),
+          "client kTLS session");
 }
 
 RpcChannel::~RpcChannel() {
@@ -652,36 +538,10 @@ void RpcChannel::call(Bytes request, std::uint32_t resp_len,
       Pending{node().host->loop().now(), std::move(done)};
 
   stack::CpuCore& core = node().host->app_core(app_core_);
-  switch (fabric_.config_.kind) {
-    case TransportKind::tcp:
-      node().tcp->send(stream_conn_, frame_message(message), &core);
-      break;
-    case TransportKind::ktls_sw:
-    case TransportKind::ktls_hw:
-    case TransportKind::tcpls: {
-      const Status st =
-          node().ktls->send(stream_conn_, frame_message(message), &core);
-      assert(st.ok());
-      (void)st;
-      break;
-    }
-    case TransportKind::homa: {
-      const auto st = node().homa->send_message(
-          transport::PeerAddr{fabric_.server_ip_, kServerPort},
-          std::move(message), &core);
-      assert(st.ok());
-      (void)st;
-      break;
-    }
-    case TransportKind::smt_sw:
-    case TransportKind::smt_hw: {
-      const auto st = node().smt->send_message(
-          transport::PeerAddr{fabric_.server_ip_, kServerPort},
-          std::move(message), &core);
-      assert(st.ok());
-      (void)st;
-      break;
-    }
+  if (is_message_based(fabric_.config_.kind)) {
+    node().send_message(fabric_.server_.addr, std::move(message), core);
+  } else {
+    node().send_stream(stream_conn_, frame_message(message), core);
   }
 }
 

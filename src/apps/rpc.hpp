@@ -5,11 +5,12 @@
 // One abstraction backs all benches and example applications:
 //   * RpcFabric — N client hosts and one server host over a topology, a
 //     transport per client/server pair, sessions keyed by a real TLS 1.3
-//     handshake, and a server-side request handler. The classic two-host
-//     constructors build a degenerate 2-host topology through
-//     stack::TopologyBuilder and are byte-identical to the historical
-//     hand-wired form; the topology constructor runs many-clients ->
-//     one-server over an arbitrary fabric (incast).
+//     handshake, and a server-side request handler. There is one
+//     construction path: the two-host constructors only build the DIRECT
+//     2-host topology they own (host 0 = client, host 1 = server) and then,
+//     like the topology constructor, place the nodes, run the handshake and
+//     build one endpoint per node. The server and every client are the
+//     same Node: a host, its address, and the one endpoint for the kind.
 //   * RpcChannel — a client-side slot issuing request/response calls and
 //     reporting virtual-time RTTs.
 //
@@ -153,15 +154,6 @@ class RpcFabric {
   RpcFabric(RpcFabricConfig config, stack::Topology& topology,
             std::size_t server_index, std::vector<std::size_t> client_indices);
 
-  /// Validating factories: the same constructions, but misconfiguration
-  /// (bad knobs, shard/lookahead violations) comes back as a Result error
-  /// instead of aborting.
-  static Result<std::unique_ptr<RpcFabric>> create(RpcFabricConfig config);
-  static Result<std::unique_ptr<RpcFabric>> create(RpcFabricConfig config,
-                                                   sim::ShardedEngine& engine,
-                                                   std::size_t client_shard,
-                                                   std::size_t server_shard);
-
   ~RpcFabric();
 
   RpcFabric(const RpcFabric&) = delete;
@@ -181,12 +173,12 @@ class RpcFabric {
   std::unique_ptr<RpcChannel> make_channel(std::size_t client_index,
                                            std::size_t app_core_index);
 
-  /// The client-side event loop (the fabric's only loop when not sharded).
-  sim::EventLoop& loop() noexcept { return *client_loop_; }
+  /// Client 0's event loop (the fabric's only loop when not sharded).
+  sim::EventLoop& loop() noexcept { return clients_.front().host->loop(); }
   stack::Host& client_host() noexcept { return *clients_.front().host; }
   stack::Host& client_host(std::size_t i) { return *clients_.at(i).host; }
   std::size_t client_count() const noexcept { return clients_.size(); }
-  stack::Host& server_host() noexcept { return *server_host_; }
+  stack::Host& server_host() noexcept { return *server_.host; }
   const RpcFabricConfig& config() const noexcept { return config_; }
 
   /// Live Homa table sizes of the server and of client `i` (message
@@ -198,13 +190,13 @@ class RpcFabric {
   /// Total wall-clock the server spent on app cores + softirq (for §5.2
   /// CPU-usage accounting).
   std::uint64_t server_busy_ns() const {
-    return server_host_->total_app_busy_ns() +
-           server_host_->total_softirq_busy_ns();
+    return server_.host->total_app_busy_ns() +
+           server_.host->total_softirq_busy_ns();
   }
   /// Summed over every client host (one host in the two-host form).
   std::uint64_t client_busy_ns() const {
     std::uint64_t total = 0;
-    for (const ClientNode& client : clients_) {
+    for (const Node& client : clients_) {
       total += client.host->total_app_busy_ns() +
                client.host->total_softirq_busy_ns();
     }
@@ -213,11 +205,11 @@ class RpcFabric {
   /// The IRQ-class slice of the busy totals (NIC interrupt servicing +
   /// doorbell MMIO) — subtract it to compare protocol/crypto CPU alone.
   std::uint64_t server_irq_ns() const {
-    return server_host_->total_irq_busy_ns();
+    return server_.host->total_irq_busy_ns();
   }
   std::uint64_t client_irq_ns() const {
     std::uint64_t total = 0;
-    for (const ClientNode& client : clients_) {
+    for (const Node& client : clients_) {
       total += client.host->total_irq_busy_ns();
     }
     return total;
@@ -226,16 +218,25 @@ class RpcFabric {
  private:
   friend class RpcChannel;
 
-  struct ClientNode {
+  /// The server or one client: a host, its address, and exactly one
+  /// endpoint, the one for config_.kind.
+  struct Node {
     stack::Host* host = nullptr;
-    std::uint32_t ip = 0;
+    transport::PeerAddr addr;
     std::unique_ptr<transport::TcpEndpoint> tcp;
     std::unique_ptr<baselines::KtlsEndpoint> ktls;
     std::unique_ptr<transport::HomaEndpoint> homa;
     std::unique_ptr<proto::SmtEndpoint> smt;
-    // Stream transports: connection -> channel. Per client node because
-    // connection ids are only unique per endpoint.
+    // Client nodes, stream transports: connection -> channel. Per node
+    // because connection ids are only unique per endpoint.
     std::map<std::uint64_t, RpcChannel*> stream_channels;
+
+    /// Stream transports (TCP, kTLS): appends framed bytes to `conn`.
+    void send_stream(std::uint64_t conn, Bytes framed, stack::CpuCore& core);
+    /// Message transports (Homa, SMT): sends one message to `dst`.
+    void send_message(transport::PeerAddr dst, Bytes message,
+                      stack::CpuCore& core);
+    transport::HomaEndpoint::TableAudit table_audit() const;
   };
 
   struct StreamConnState {
@@ -243,47 +244,36 @@ class RpcFabric {
     std::size_t app_core = 0;
   };
 
-  struct Unbuilt {};  // factory tag: construct empty, then init()
-  RpcFabric(RpcFabricConfig config, Unbuilt);
-
-  Status init_two_host(sim::ShardedEngine* engine, std::size_t client_shard,
-                       std::size_t server_shard);
+  static std::unique_ptr<stack::Topology> build_two_host(
+      const RpcFabricConfig& config, sim::EventLoop& loop,
+      sim::ShardedEngine* engine, std::size_t client_shard,
+      std::size_t server_shard);
+  void init(stack::Topology& topology, std::size_t server_index,
+            const std::vector<std::size_t>& client_indices);
   Status init_topology(stack::Topology& topology, std::size_t server_index,
-                       std::vector<std::size_t> client_indices);
+                       const std::vector<std::size_t>& client_indices);
   void establish_keys();
-  void setup_transports();
+  void build_endpoint(Node& node);
   stack::CpuCore& server_core_for(std::size_t hint);
   void server_handle_message(ByteView message,
                              std::function<void(Bytes)> reply,
                              std::size_t core_hint);
   void on_server_stream_data(std::uint64_t conn, Bytes data);
-  void on_server_message(transport::PeerAddr peer, std::uint64_t client_port,
-                         Bytes message);
+  void on_server_message(transport::PeerAddr peer, Bytes message);
+  void on_client_message(Bytes message);
 
   RpcFabricConfig config_;
-  sim::EventLoop loop_;  // owns the fabric's loop when not sharded
-  // Where the hosts live: all point at loop_ in the single-loop form; at
-  // engine shards in the sharded form; at the topology's loops otherwise.
-  sim::EventLoop* client_loop_ = &loop_;
-  sim::EventLoop* server_loop_ = &loop_;
+  sim::EventLoop loop_;  // the hosts' loop in the single-loop form
   std::unique_ptr<stack::Topology> owned_topology_;  // two-host forms
-  stack::Topology* topology_ = nullptr;  // owned or external
 
-  std::vector<ClientNode> clients_;
-  stack::Host* server_host_ = nullptr;
-  std::uint32_t server_ip_ = 0;
-
-  // Server-side endpoint (exactly one per config_.kind).
-  std::unique_ptr<transport::TcpEndpoint> tcp_server_;
-  std::unique_ptr<baselines::KtlsEndpoint> ktls_server_;
-  std::unique_ptr<transport::HomaEndpoint> homa_server_;
-  std::unique_ptr<proto::SmtEndpoint> smt_server_;
+  Node server_;
+  std::vector<Node> clients_;
 
   tls::TrafficKeys client_tx_keys_;  // from a real handshake
   tls::TrafficKeys server_tx_keys_;
   tls::CipherSuite suite_ = tls::CipherSuite::aes_128_gcm_sha256;
 
-  RpcHandler handler_;
+  RpcHandler handler_ = [](ByteView) { return RpcReply{}; };  // echo
   AsyncRpcHandler async_handler_;
   std::map<std::uint64_t, StreamConnState> server_streams_;
   FlatMap<std::uint64_t, RpcChannel*> channels_;  // by correlation prefix
@@ -314,7 +304,7 @@ class RpcChannel {
   void on_response(Bytes message);
   void on_stream_data(Bytes data);
 
-  RpcFabric::ClientNode& node() { return fabric_.clients_[client_]; }
+  RpcFabric::Node& node() { return fabric_.clients_[client_]; }
 
   RpcFabric& fabric_;
   std::uint64_t channel_id_;
@@ -325,7 +315,6 @@ class RpcChannel {
   // Stream transports: this channel's private connection + rx reassembly.
   std::uint64_t stream_conn_ = 0;
   Bytes rx_buffer_;
-  std::uint16_t message_port_ = 0;  // message transports: client port
 
   struct Pending {
     SimTime issued_at;

@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <optional>
+#include <vector>
+
 namespace smt::apps {
 namespace {
 
@@ -162,6 +167,118 @@ TEST(RpcFabricShape, HwOffloadSavesCpuVsSoftware) {
   };
   EXPECT_LT(busy_for(TransportKind::smt_hw), busy_for(TransportKind::smt_sw));
   EXPECT_LT(busy_for(TransportKind::ktls_hw), busy_for(TransportKind::ktls_sw));
+}
+
+// One construction path: the two-host constructor, the sharded one (same
+// shard or not) and the topology constructor over perfbench's own copy of
+// the two-host build must compute the same run.
+enum class Build { two_host, topology, same_shard, two_shards };
+
+struct BuildRun {
+  std::vector<SimDuration> rtts;  // in completion order
+  sim::NicCounters client_nic;
+  sim::NicCounters server_nic;
+};
+
+BuildRun run_built(TransportKind kind, Build build) {
+  RpcFabricConfig config;
+  config.kind = kind;
+  std::optional<sim::ShardedEngine> engine;
+  std::unique_ptr<stack::Topology> topology;
+  std::unique_ptr<RpcFabric> fabric;
+  switch (build) {
+    case Build::two_host:
+      fabric = std::make_unique<RpcFabric>(config);
+      break;
+    case Build::topology: {
+      // As perfbench/src/workloads.cpp builds its two-host testbed.
+      engine.emplace(1, config.propagation);
+      stack::TopologyBuilder builder(to_scenario(config));
+      builder.host_config(0, host_config_of(config, config.client_app_cores));
+      builder.host_config(1, host_config_of(config, config.server_app_cores));
+      auto built = builder.build(*engine);
+      if (!built.ok()) {
+        ADD_FAILURE() << built.error().message;
+        return {};
+      }
+      topology = std::move(built).take();
+      fabric = std::make_unique<RpcFabric>(config, *topology, 1,
+                                           std::vector<std::size_t>{0});
+      break;
+    }
+    case Build::same_shard:
+      engine.emplace(2, config.propagation);
+      fabric = std::make_unique<RpcFabric>(config, *engine, 1, 1);
+      break;
+    case Build::two_shards:
+      engine.emplace(2, config.propagation);
+      fabric = std::make_unique<RpcFabric>(config, *engine, 0, 1);
+      break;
+  }
+
+  // Two closed-loop channels, 20 calls each.
+  constexpr std::size_t kChannels = 2;
+  constexpr std::size_t kCalls = 20;
+  std::vector<std::unique_ptr<RpcChannel>> channels;
+  for (std::size_t c = 0; c < kChannels; ++c) {
+    channels.push_back(fabric->make_channel(c));
+  }
+  BuildRun run;
+  std::vector<std::size_t> issued(kChannels, 0);
+  std::function<void(std::size_t)> issue = [&](std::size_t c) {
+    if (issued[c]++ == kCalls) return;
+    channels[c]->call(Bytes(512, 0x5a), 2048, [&, c](SimDuration rtt, Bytes) {
+      run.rtts.push_back(rtt);
+      issue(c);
+    });
+  };
+  for (std::size_t c = 0; c < kChannels; ++c) issue(c);
+  if (engine) {
+    engine->run();
+  } else {
+    fabric->loop().run();
+  }
+  run.client_nic = fabric->client_host().nic().counters();
+  run.server_nic = fabric->server_host().nic().counters();
+  return run;
+}
+
+class RpcFabricBuildTest : public ::testing::TestWithParam<TransportKind> {};
+
+TEST_P(RpcFabricBuildTest, EveryConstructorComputesTheSameRun) {
+  const BuildRun base = run_built(GetParam(), Build::two_host);
+  ASSERT_EQ(base.rtts.size(), 40u);
+  for (const Build build :
+       {Build::topology, Build::same_shard, Build::two_shards}) {
+    SCOPED_TRACE(int(build));
+    const BuildRun run = run_built(GetParam(), build);
+    EXPECT_EQ(run.rtts, base.rtts);
+    EXPECT_TRUE(run.client_nic == base.client_nic);
+    EXPECT_TRUE(run.server_nic == base.server_nic);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EncryptedTransports, RpcFabricBuildTest,
+    ::testing::Values(TransportKind::smt_hw, TransportKind::ktls_sw),
+    [](const ::testing::TestParamInfo<TransportKind>& info) {
+      return std::string(transport_key(info.param));
+    });
+
+TEST(RpcFabricPlacementDeathTest, EachBadPlacementAbortsWithItsMessage) {
+  const RpcFabricConfig config;
+  sim::EventLoop loop;
+  auto built = stack::TopologyBuilder(to_scenario(config)).build(loop);
+  ASSERT_TRUE(built.ok());
+  stack::Topology& topology = *built.value();
+  const auto place = [&](std::size_t server, std::vector<std::size_t> clients) {
+    RpcFabric fabric(config, topology, server, std::move(clients));
+  };
+  EXPECT_DEATH(place(1, {}), "at least one client host is required");
+  EXPECT_DEATH(place(2, {0}), "server host 2 out of range");
+  EXPECT_DEATH(place(1, {5}), "client host 5 out of range");
+  EXPECT_DEATH(place(1, {0, 0}), "client host 0 listed twice");
+  EXPECT_DEATH(place(1, {1}), "host 1 cannot be both client and server");
 }
 
 }  // namespace
